@@ -13,7 +13,6 @@ import sys
 
 from .core import (
     InternalInconsistency,
-    OracleTooLarge,
     ReflexiveLabError,
     format_hstar,
     format_qvector,
@@ -30,11 +29,12 @@ from .ehrhart import (
     payne_qvector,
 )
 from .freesum import compose, decompose
-from .idp import idp_check, idp_oracle_bruteforce
+from .idp import idp_check
 from .search import (
     FILTER_NAMES,
     OracleCaps,
     SearchSpec,
+    confirm_with_oracles,
     evaluate_candidate,
     run_search,
     verify_two_support_classification,
@@ -239,40 +239,6 @@ def cmd_hstar(args, caps) -> int:
     return EXIT_OK
 
 
-def _oracle_confirmations(q, report, caps):
-    """Brute-force confirmation for `check --oracle`; raises on disagreement."""
-    out = {"hstar": "skipped", "idp": "skipped", "witness_dilate": None, "witness_point": None}
-    if report.hstar is not None:
-        try:
-            interp = hstar_oracle_interpolation(q, caps)
-            para = hstar_oracle_parallelepiped(q, caps)
-        except OracleTooLarge:
-            interp = para = None
-        if interp is not None:
-            if interp != report.hstar or para != report.hstar:
-                raise InternalInconsistency(
-                    f"h* routes disagree for q = {q}: reported {report.hstar}, "
-                    f"interpolation {interp}, parallelepiped {para}"
-                )
-            out["hstar"] = "confirmed"
-    if report.idp is not None:
-        try:
-            oracle = idp_oracle_bruteforce(q)
-        except OracleTooLarge:
-            oracle = None
-        if oracle is not None:
-            if oracle.is_idp != report.idp:
-                raise InternalInconsistency(
-                    f"IDP routes disagree for q = {q}: facet scan says "
-                    f"{report.idp}, sumset oracle says {oracle.is_idp}"
-                )
-            out["idp"] = "confirmed"
-            if not oracle.is_idp:
-                out["witness_dilate"] = oracle.witness_dilate
-                out["witness_point"] = list(oracle.witness_point)
-    return out
-
-
 def cmd_check(args, caps) -> int:
     q = parse_qvector(args.q)
     report = evaluate_candidate(q, caps)
@@ -294,7 +260,7 @@ def cmd_check(args, caps) -> int:
             f"b={report.witness.b} height={report.witness.height}"
         )
     if args.oracle:
-        confirmations = _oracle_confirmations(q, report, caps)
+        confirmations = confirm_with_oracles(q, report, caps)
         payload["oracle"] = confirmations
         lines.append(f"oracle_hstar={confirmations['hstar']}")
         lines.append(f"oracle_idp={confirmations['idp']}")

@@ -65,8 +65,9 @@ def _facet_heights(q: QVector, j0: int):
     return heights
 
 
-def idp_check(q: QVector) -> IdpResult:
-    """Deterministic facet scan; witness has smallest j, then smallest b."""
+def _facet_scan(q: QVector):
+    """Yield (j, b, height, c) for every scan index b with height >= 2, in
+    order of facet j, then b; c is the smallest splitting index, or None."""
     if not is_reflexive(q):
         raise NotReflexive(f"q = {q} is not reflexive")
     entries = q.entries
@@ -83,49 +84,32 @@ def idp_check(q: QVector) -> IdpResult:
         for b in range(1, qj):
             if heights[b] < 2:
                 continue
-            found = False
             for c in range(1, b):
-                if heights[c] != 1:
-                    continue
-                if all(
+                if heights[c] == 1 and all(
                     (qi * b) // qj - (qi * c) // qj == (qi * (b - c)) // qj
                     for qi in others
                 ):
-                    found = True
                     break
-            if not found:
-                return IdpResult(False, FacetWitness(j0 + 1, b, heights[b]))
+            else:
+                c = None
+            yield j0 + 1, b, heights[b], c
+
+
+def idp_check(q: QVector) -> IdpResult:
+    """Deterministic facet scan; witness has smallest j, then smallest b."""
+    for j, b, height, c in _facet_scan(q):
+        if c is None:
+            return IdpResult(False, FacetWitness(j, b, height))
     return IdpResult(True, None)
 
 
 def idp_certificates(q: QVector):
     """All (j, b, height, c) records the facet scan accepts, for inspection."""
-    if not is_reflexive(q):
-        raise NotReflexive(f"q = {q} is not reflexive")
-    entries = q.entries
-    records = []
-    seen = set()
-    for j0, qj in enumerate(entries):
-        if qj in seen:
-            continue
-        seen.add(qj)
-        if qj == 1:
-            continue
-        heights = _facet_heights(q, j0)
-        others = sorted(set(entries) - {qj})
-        for b in range(1, qj):
-            if heights[b] < 2:
-                continue
-            for c in range(1, b):
-                if heights[c] != 1:
-                    continue
-                if all(
-                    (qi * b) // qj - (qi * c) // qj == (qi * (b - c)) // qj
-                    for qi in others
-                ):
-                    records.append(FacetWitness(j0 + 1, b, heights[b], found_c=c))
-                    break
-    return records
+    return [
+        FacetWitness(j, b, height, found_c=c)
+        for j, b, height, c in _facet_scan(q)
+        if c is not None
+    ]
 
 
 def necessary_condition(q: QVector) -> bool:
@@ -168,13 +152,3 @@ def idp_oracle_bruteforce(q: QVector, caps: OracleCaps = None) -> IdpOracleResul
                 return IdpOracleResult(False, witness_dilate=m, witness_point=point)
     return IdpOracleResult(True)
 
-
-def is_dilate_point_sum(q: QVector, point, m: int, caps: OracleCaps = None) -> bool:
-    """Is `point` a sum of m lattice points of the first dilate?"""
-    caps = caps or IDP_ORACLE_CAPS
-    caps.check(q, "IDP oracle")
-    base = enumerate_dilate_points(q, 1)
-    sums = set(base)
-    for _ in range(m - 1):
-        sums = {tuple(a + b for a, b in zip(p, v)) for p in sums for v in base}
-    return tuple(point) in sums

@@ -1,25 +1,28 @@
 """Exact lattice-point enumeration for the simplices defined by a q-vector.
 
-Dilate membership.  With s = 1 + sum(q), a point x lies in t * Delta iff the
-apex weight mu_0 = (t - sum(x)) / s is nonnegative and every barycentric
-weight mu_i = x_i + mu_0 * q_i is nonnegative.  Multiplying through by s
-keeps the test in integers:
+Both point sets the oracles need are cut out by one integer system.  With
+s = 1 + sum(q), write a point of the cone over the simplex as (h, x): height
+h and ambient coordinates x in Z^n.  Its barycentric weights with respect to
+the cone generators (1, -q), (1, e_1), ..., (1, e_n), multiplied by s, are
 
-    u := t - sum(x) >= 0   and   s * x_i + u * q_i >= 0  for all i.
+    s * lam_0 = a,    s * lam_i = s * x_i + a * q_i,    where a = h - sum(x).
 
-The scan walks the bounding box x_i in [-t*q_i, t] over the first n - 1
-coordinates; for each prefix the membership inequalities pin the last
-coordinate to an exact integer interval, which is counted or materialized
-directly (the interval is just the per-point test solved for x_n, so nothing
-beyond the inequalities above is used).
+* The dilate t * Delta is the slice h = t with every s * lam_j >= 0.
+* The half-open fundamental parallelepiped is 0 <= s * lam_j <= s - 1 for
+  every j, at heights h = 0..n.
 
-Fundamental parallelepiped.  The half-open parallelepiped spanned by the
-cone generators (1, v) for each vertex v is scanned over the bounding box
-of all coordinates but the last; membership is the exact integer system
-0 <= adj * w < det (the vertex system solved by a precomputed integer
-adjugate), and solving that system for the last coordinate pins it to an
-exact interval per prefix.  Nothing here assumes reflexivity.
+Once the prefix (h, x_1, ..., x_(n-1)) is fixed, every inequality bounds the
+last coordinate alone, so `_interval` solves the system for x_n as an exact
+integer interval and `_scan` walks a bounding box of prefixes, counting or
+listing each interval.  Small boxes run in plain Python; larger ones run in
+numpy chunks whose leading prefix values stay Python ints and whose trailing
+values are meshgrid columns.  The parallelepiped oracle first checks the
+system against an independently computed integer adjugate of the cone
+matrix.  Nothing here assumes reflexivity.
 """
+
+from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -33,160 +36,100 @@ _PYTHON_BOX_LIMIT = 2048
 
 
 def _prefix_chunks(ranges):
-    """Yield (leading constants, trailing meshgrid columns) in lex order."""
-    sizes = [len(r) for r in ranges]
-    split = len(ranges)
-    trailing = 1
-    while split > 0 and trailing * sizes[split - 1] <= _CHUNK_ROWS:
-        trailing *= sizes[split - 1]
+    """Yield (leading ints, trailing meshgrid columns) in lex order.
+
+    The last range is always a trailing column, so every chunk is vectorized.
+    """
+    split = len(ranges) - 1
+    rows = len(ranges[split])
+    while split > 0 and rows * len(ranges[split - 1]) <= _CHUNK_ROWS:
         split -= 1
-    from itertools import product as _product
-
-    trailing_ranges = [np.asarray(r, dtype=np.int64) for r in ranges[split:]]
-    if trailing_ranges:
-        mesh = np.meshgrid(*trailing_ranges, indexing="ij")
-        trailing_cols = [m.reshape(-1) for m in mesh]
-    else:
-        trailing_cols = []
-    for lead in _product(*[list(r) for r in ranges[:split]]):
-        yield lead, trailing_cols
+        rows *= len(ranges[split])
+    mesh = np.meshgrid(
+        *[np.asarray(r, dtype=np.int64) for r in ranges[split:]], indexing="ij"
+    )
+    trailing = [m.reshape(-1) for m in mesh]
+    for lead in product(*ranges[:split]):
+        yield lead, trailing
 
 
-def _interval_bounds_python(q, t, prefix):
-    """Exact feasible interval [lo, hi] of the last coordinate."""
-    s = 1 + sum(q)
+def _interval(q, s, upper, prefix):
+    """Exact feasible [lo, hi] of x_n for the prefix (h, x_1, ..., x_(n-1)).
+
+    Prefix values are Python ints, or Python ints followed by equal-length
+    int64 columns (then lo and hi are columns too).  `upper` caps every
+    s * lam_j: None for a dilate, s - 1 for the half-open parallelepiped.
+    """
+    vectorized = isinstance(prefix[-1], np.ndarray)
+    most, least = (np.maximum, np.minimum) if vectorized else (max, min)
+    # rest = h - sum(prefix x); the final a is rest - x_n.
+    rest = prefix[0]
+    a_lo, a_hi = 0, upper  # bounds on a from lam_0, ..., lam_(n-1)
+    for x, qi in zip(prefix[1:], q):
+        rest = rest - x
+        a_lo = most(a_lo, -((s * x) // qi))
+        if upper is not None:
+            a_hi = least(a_hi, (upper - s * x) // qi)
+    # s * lam_n = (s - q_n) * x_n + rest * q_n
     qn = q[-1]
     d = s - qn
-    p = sum(prefix)
-    a = t - p
-    u_min = 0
-    for xi, qi in zip(prefix, q[:-1]):
-        if xi < 0:
-            ui = -((s * xi) // qi)
-            if ui > u_min:
-                u_min = ui
-    hi = a - u_min
-    lo = -((a * qn) // d)
+    lo, hi = -((rest * qn) // d), rest - a_lo
+    if upper is not None:
+        lo = most(lo, rest - a_hi)
+        hi = least(hi, (upper - rest * qn) // d)
     return lo, hi
+
+
+def _scan(q, prefix_ranges, upper, count_only):
+    """Count, or list in lex order, the points (prefix, x_n) of the system."""
+    s = 1 + sum(q)
+    total, points = 0, []
+    if prod(len(r) for r in prefix_ranges) <= _PYTHON_BOX_LIMIT:
+        for prefix in product(*prefix_ranges):
+            lo, hi = _interval(q, s, upper, prefix)
+            if hi < lo:
+                continue
+            if count_only:
+                total += hi - lo + 1
+            else:
+                points.extend(prefix + (x,) for x in range(lo, hi + 1))
+        return total if count_only else points
+    for lead, trailing in _prefix_chunks(prefix_ranges):
+        lo, hi = _interval(q, s, upper, (*lead, *trailing))
+        reps = np.maximum(hi - lo + 1, 0)
+        if count_only:
+            total += int(reps.sum())
+            continue
+        mask = reps > 0
+        reps = reps[mask]
+        size = int(reps.sum())
+        if size == 0:
+            continue
+        # Expand each feasible prefix into its x_n interval, preserving order.
+        starts = np.repeat(np.cumsum(reps) - reps, reps)
+        offsets = np.arange(size, dtype=np.int64) - starts
+        cols = [np.full(size, v, dtype=np.int64) for v in lead]
+        cols += [np.repeat(col[mask], reps) for col in trailing]
+        cols.append(np.repeat(lo[mask], reps) + offsets)
+        points.extend(map(tuple, np.stack(cols, axis=1).tolist()))
+    return total if count_only else points
+
+
+def _dilate_ranges(q: QVector, t: int):
+    """Prefix box at height t: x_i in [-t * q_i, t] for i < n."""
+    if t < 0:
+        raise ValueError("dilation factor must be nonnegative")
+    return [range(t, t + 1)] + [range(-t * qi, t + 1) for qi in q.entries[:-1]]
 
 
 def count_dilate_points(q: QVector, t: int) -> int:
     """#(t * Delta cap Z^n), exactly."""
-    entries = q.entries
-    n = len(entries)
-    s = 1 + sum(entries)
-    if t < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    if t == 0:
-        return 1
-    if n == 1:
-        q1 = entries[0]
-        lo = -((t * q1) // (s - q1))
-        return t - lo + 1
-    prefix_ranges = [range(-t * qi, t + 1) for qi in entries[:-1]]
-    box = 1
-    for r in prefix_ranges:
-        box *= len(r)
-    if box <= _PYTHON_BOX_LIMIT:
-        from itertools import product
-
-        total = 0
-        for prefix in product(*prefix_ranges):
-            lo, hi = _interval_bounds_python(entries, t, prefix)
-            if hi >= lo:
-                total += hi - lo + 1
-        return total
-    return _count_numpy(entries, t)
-
-
-def _numpy_prefix_eval(entries, t, lead, trailing_cols):
-    """Vectorized (lo, hi) arrays for one chunk of prefix assignments."""
-    s = 1 + sum(entries)
-    qn = entries[-1]
-    d = s - qn
-    n_lead = len(lead)
-    p_lead = sum(lead)
-    u_lead = 0
-    for xi, qi in zip(lead, entries[:n_lead]):
-        if xi < 0:
-            ui = -((s * xi) // qi)
-            if ui > u_lead:
-                u_lead = ui
-    if trailing_cols:
-        p = np.full(trailing_cols[0].shape, p_lead, dtype=np.int64)
-        u = np.full(trailing_cols[0].shape, u_lead, dtype=np.int64)
-        for col, qi in zip(trailing_cols, entries[n_lead:-1]):
-            p = p + col
-            np.maximum(u, -((s * col) // qi), out=u)
-    else:
-        p = np.array([p_lead], dtype=np.int64)
-        u = np.array([u_lead], dtype=np.int64)
-    a = t - p
-    hi = a - u
-    lo = -((a * qn) // d)
-    return lo, hi
-
-
-def _count_numpy(entries, t):
-    prefix_ranges = [range(-t * qi, t + 1) for qi in entries[:-1]]
-    total = 0
-    for lead, trailing_cols in _prefix_chunks(prefix_ranges):
-        lo, hi = _numpy_prefix_eval(entries, t, lead, trailing_cols)
-        cnt = hi - lo + 1
-        np.maximum(cnt, 0, out=cnt)
-        total += int(cnt.sum())
-    return total
+    return _scan(q.entries, _dilate_ranges(q, t), None, True)
 
 
 def enumerate_dilate_points(q: QVector, t: int):
     """All points of t * Delta cap Z^n as tuples, lexicographically sorted."""
-    entries = q.entries
-    n = len(entries)
-    s = 1 + sum(entries)
-    if t < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    if t == 0:
-        return [(0,) * n]
-    if n == 1:
-        q1 = entries[0]
-        lo = -((t * q1) // (s - q1))
-        return [(x,) for x in range(lo, t + 1)]
-    prefix_ranges = [range(-t * qi, t + 1) for qi in entries[:-1]]
-    box = 1
-    for r in prefix_ranges:
-        box *= len(r)
-    if box <= _PYTHON_BOX_LIMIT:
-        from itertools import product
-
-        points = []
-        for prefix in product(*prefix_ranges):
-            lo, hi = _interval_bounds_python(entries, t, prefix)
-            for xn in range(lo, hi + 1):
-                points.append(prefix + (xn,))
-        return points
-    points = []
-    for lead, trailing_cols in _prefix_chunks(prefix_ranges):
-        lo, hi = _numpy_prefix_eval(entries, t, lead, trailing_cols)
-        cnt = np.maximum(hi - lo + 1, 0)
-        mask = cnt > 0
-        if not mask.any():
-            continue
-        reps = cnt[mask]
-        lo_m = lo[mask]
-        total = int(reps.sum())
-        # Expand each feasible prefix into its x_n interval, preserving order.
-        ends = np.cumsum(reps)
-        starts_idx = np.repeat(ends - reps, reps)
-        xn = np.repeat(lo_m, reps) + (np.arange(total, dtype=np.int64) - starts_idx)
-        cols = []
-        for v in lead:
-            cols.append(np.full(total, v, dtype=np.int64))
-        for col in trailing_cols:
-            cols.append(np.repeat(col[mask], reps))
-        cols.append(xn)
-        block = np.stack(cols, axis=1)
-        points.extend(map(tuple, block.tolist()))
-    return points
+    return [p[1:] for p in _scan(q.entries, _dilate_ranges(q, t), None, False)]
 
 
 def _cone_matrix(geom: SimplexGeometry):
@@ -199,38 +142,22 @@ def _cone_matrix(geom: SimplexGeometry):
     return rows
 
 
-def _parallelepiped_interval_python(adj, det, prefix):
-    """Feasible interval of the last coordinate for one box prefix.
-
-    Each adjugate row i demands 0 <= dot_i + c_i * t < det, which is an
-    exact integer interval for t (or a pure prefix test when c_i = 0).
-    """
-    lo, hi = None, None
-    for row in adj:
-        c = row[-1]
-        dot = sum(a * w for a, w in zip(row[:-1], prefix))
-        if c > 0:
-            row_lo = -(dot // c)
-            row_hi = (det - 1 - dot) // c
-        elif c < 0:
-            row_lo = -((det - 1 - dot) // -c)
-            row_hi = dot // -c
-        else:
-            if not 0 <= dot < det:
-                return 0, -1
-            continue
-        lo = row_lo if lo is None or row_lo > lo else lo
-        hi = row_hi if hi is None or row_hi < hi else hi
-    return lo, hi
+def _barycentric_rows(q: QVector):
+    """Rows of the system in the module docstring: s * lam as a map of (h, x)."""
+    n = q.n
+    s = 1 + sum(q.entries)
+    rows = [(1,) + (-1,) * n]
+    for i, qi in enumerate(q.entries):
+        rows.append((qi,) + tuple(s - qi if k == i else -qi for k in range(n)))
+    return tuple(rows)
 
 
 def fundamental_parallelepiped_points(q: QVector):
     """Integer points of the half-open parallelepiped, as (1+n)-tuples.
 
     Coordinate 0 is the height.  Sorted by height, then lexicographically.
-    The box over (height, x_1, ..., x_(n-1)) is scanned; the membership
-    inequalities, solved for x_n, pin the last coordinate to an exact
-    interval per prefix.
+    Raises InternalInconsistency unless the sign-normalised adjugate of the
+    cone matrix is exactly the barycentric system the scan solves.
     """
     geom = SimplexGeometry.from_qvector(q)
     n = q.n
@@ -239,77 +166,20 @@ def fundamental_parallelepiped_points(q: QVector):
     if det < 0:
         det = -det
         adj = tuple(tuple(-v for v in row) for row in adj)
-    if det != s:
+    if det != s or adj != _barycentric_rows(q):
         raise InternalInconsistency(
-            f"cone determinant {det} differs from 1 + sum(q) = {s}"
+            f"cone adjugate {adj} with determinant {det} differs from the "
+            f"barycentric system of q = {q} (1 + sum(q) = {s})"
         )
     # Box: heights 0..n; coordinate j in (-q_j, 1), lenient integer bounds.
     # The last coordinate has the widest range (entries are sorted), so it
     # is the one replaced by interval arithmetic.
     prefix_ranges = [range(0, n + 1)] + [range(-qj, 2) for qj in q.entries[:-1]]
-    box = 1
-    for r in prefix_ranges:
-        box *= len(r)
-    points = []
-    if box <= _PYTHON_BOX_LIMIT:
-        from itertools import product
-
-        for prefix in product(*prefix_ranges):
-            lo, hi = _parallelepiped_interval_python(adj, det, prefix)
-            for t in range(lo, hi + 1):
-                points.append(prefix + (t,))
-    else:
-        points = _parallelepiped_points_numpy(adj, det, prefix_ranges)
-    points.sort()
+    points = _scan(q.entries, prefix_ranges, s - 1, False)
     if len(points) != s:
         raise InternalInconsistency(
             f"parallelepiped holds {len(points)} lattice points, expected {s}"
         )
-    return points
-
-
-def _parallelepiped_points_numpy(adj, det, prefix_ranges):
-    a_prefix = np.asarray([row[:-1] for row in adj], dtype=np.int64).T
-    c_col = [row[-1] for row in adj]
-    points = []
-    sentinel = np.int64(1) << 60
-    for lead, trailing_cols in _prefix_chunks(prefix_ranges):
-        if trailing_cols:
-            m = trailing_cols[0].shape[0]
-            cols = [np.full(m, v, dtype=np.int64) for v in lead] + list(trailing_cols)
-        else:
-            m = 1
-            cols = [np.array([v], dtype=np.int64) for v in lead]
-        w = np.stack(cols, axis=1)
-        dots = w @ a_prefix
-        lo = np.full(m, -sentinel, dtype=np.int64)
-        hi = np.full(m, sentinel, dtype=np.int64)
-        feasible = np.ones(m, dtype=bool)
-        for i, c in enumerate(c_col):
-            dot = dots[:, i]
-            if c > 0:
-                np.maximum(lo, -(dot // c), out=lo)
-                np.minimum(hi, (det - 1 - dot) // c, out=hi)
-            elif c < 0:
-                np.maximum(lo, -((det - 1 - dot) // -c), out=lo)
-                np.minimum(hi, dot // -c, out=hi)
-            else:
-                feasible &= (dot >= 0) & (dot < det)
-        cnt = np.maximum(hi - lo + 1, 0)
-        cnt[~feasible] = 0
-        mask = cnt > 0
-        if not mask.any():
-            continue
-        reps = cnt[mask]
-        lo_m = lo[mask]
-        total = int(reps.sum())
-        ends = np.cumsum(reps)
-        starts_idx = np.repeat(ends - reps, reps)
-        t_col = np.repeat(lo_m, reps) + (np.arange(total, dtype=np.int64) - starts_idx)
-        out_cols = [np.repeat(col[mask], reps) for col in w.T]
-        out_cols.append(t_col)
-        block = np.stack(out_cols, axis=1)
-        points.extend(map(tuple, block.tolist()))
     return points
 
 

@@ -7,7 +7,6 @@ across --threads settings.  Wall-clock timings never enter the wire format.
 """
 
 import json
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import get_context
@@ -31,7 +30,7 @@ from .ehrhart import (
     is_unimodal,
 )
 from .freesum import decompose
-from .idp import IDP_ORACLE_CAPS, idp_check, idp_oracle_bruteforce, necessary_condition
+from .idp import idp_check, idp_oracle_bruteforce, necessary_condition
 from .support import build_system, expand_solution, solve_positive
 
 FILTER_NAMES = ("reflexive", "necessary", "idp", "non_unimodal", "indecomposable")
@@ -75,7 +74,6 @@ class CandidateReport:
     free_sum_splits: int = 0
     witness: object = None  # FacetWitness when idp is False
     counterexample: bool = False
-    elapsed: float = 0.0  # in-memory only, never serialized
 
     def to_json_dict(self):
         sup = support_of(self.q)
@@ -146,7 +144,6 @@ def evaluate_candidate(
     IDP, free-sum) and stop at the first failing filter.
     """
     caps = oracle_caps or EHRHART_ORACLE_CAPS
-    t0 = time.perf_counter()
 
     reflexive = is_reflexive(q)
     if "reflexive" in filters and not reflexive:
@@ -199,7 +196,6 @@ def evaluate_candidate(
         free_sum_splits=free_sum_splits,
         witness=witness,
         counterexample=counterexample,
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -209,37 +205,52 @@ def _cross_check_selected(entries) -> bool:
     return key % 97 == 0
 
 
-def _cross_check(q: QVector, report, caps: OracleCaps) -> None:
-    if report is None or not report.reflexive or report.hstar is None:
-        return
-    try:
-        interp = hstar_oracle_interpolation(q, caps)
-        para = hstar_oracle_parallelepiped(q, caps)
-    except OracleTooLarge:
-        return
-    if interp != report.hstar or para != report.hstar:
-        raise InternalInconsistency(
-            f"h* routes disagree for q = {q}: closed {report.hstar}, "
-            f"interpolation {interp}, parallelepiped {para}"
-        )
-    try:
-        oracle = idp_oracle_bruteforce(q)
-    except OracleTooLarge:
-        return
-    if oracle.is_idp != report.idp:
-        raise InternalInconsistency(
-            f"IDP routes disagree for q = {q}: scan {report.idp}, "
-            f"oracle {oracle.is_idp}"
-        )
+def confirm_with_oracles(q: QVector, report: CandidateReport, caps: OracleCaps = None):
+    """Re-derive a report's h* and IDP verdict with the brute-force oracles.
+
+    Raises InternalInconsistency on any disagreement.  Returns the status of
+    each check ("confirmed", or "skipped" when there is nothing to check or
+    the oracle is beyond its caps) and the IDP oracle's witness, if any.
+    """
+    out = {"hstar": "skipped", "idp": "skipped", "witness_dilate": None, "witness_point": None}
+    if report.hstar is not None:
+        try:
+            interp = hstar_oracle_interpolation(q, caps)
+            para = hstar_oracle_parallelepiped(q, caps)
+        except OracleTooLarge:
+            interp = para = None
+        if interp is not None:
+            if interp != report.hstar or para != report.hstar:
+                raise InternalInconsistency(
+                    f"h* routes disagree for q = {q}: reported {report.hstar}, "
+                    f"interpolation {interp}, parallelepiped {para}"
+                )
+            out["hstar"] = "confirmed"
+    if report.idp is not None:
+        try:
+            oracle = idp_oracle_bruteforce(q)
+        except OracleTooLarge:
+            oracle = None
+        if oracle is not None:
+            if oracle.is_idp != report.idp:
+                raise InternalInconsistency(
+                    f"IDP routes disagree for q = {q}: facet scan says "
+                    f"{report.idp}, sumset oracle says {oracle.is_idp}"
+                )
+            out["idp"] = "confirmed"
+            if not oracle.is_idp:
+                out["witness_dilate"] = oracle.witness_dilate
+                out["witness_point"] = list(oracle.witness_point)
+    return out
 
 
 def _search_worker(entries, caps, filters, cross_check):
     q = QVector(entries)
     report = evaluate_candidate(q, caps, filters)
-    if cross_check and _cross_check_selected(entries):
-        _cross_check(q, report, caps or EHRHART_ORACLE_CAPS)
     if report is None:
         return None
+    if cross_check and _cross_check_selected(entries):
+        confirm_with_oracles(q, report, caps)
     return report.to_json_dict()
 
 

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import reflexive_lab
 from reflexive_lab import (
+    HStarPolynomial,
     SearchSummary,
     VerificationReport,
     evaluate_candidate,
@@ -13,6 +16,7 @@ from reflexive_lab import (
     reflexive_family,
 )
 from reflexive_lab.cli import main
+from reflexive_lab.idp import IdpOracleResult
 
 FLAGSHIP = "3,20,24,24,24,24"
 
@@ -146,6 +150,39 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--q", "2,3")
         assert code == 2
         assert "counterexample=true" in out.splitlines()
+
+
+class TestOracleDisagreement:
+    """Both confirmation paths exit 3 when a brute-force oracle disagrees."""
+
+    CHECK = ("check", "--q", "1,2,2,2,2", "--oracle")
+    # (1,2,2,2,2) is the one candidate of this box the cross-check samples.
+    SEARCH = (
+        "search", "--n-min", "5", "--n-max", "5", "--max-entry", "2",
+        "--threads", "1", "--cross-check",
+    )
+    # h* oracle caps too small to run; the IDP oracle must still be consulted.
+    NO_HSTAR = ("--oracle-caps", "1:1")
+
+    @pytest.mark.parametrize("argv", [CHECK, SEARCH])
+    def test_hstar_oracle(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(
+            "reflexive_lab.search.hstar_oracle_interpolation",
+            lambda q, caps=None: HStarPolynomial((1,) + (0,) * q.n),
+        )
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "h* routes disagree" in err
+
+    @pytest.mark.parametrize("argv", [CHECK, SEARCH, CHECK + NO_HSTAR, SEARCH + NO_HSTAR])
+    def test_idp_oracle(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(
+            "reflexive_lab.search.idp_oracle_bruteforce",
+            lambda q, caps=None: IdpOracleResult(False, 2, (0,) * q.n),
+        )
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "IDP routes disagree" in err
 
 
 class TestEnumerate:
@@ -377,20 +414,25 @@ class TestErrorHandling:
         assert json.loads(out)["code"] == "oracle_too_large"
 
 
+def run_module(*argv):
+    """`python -m reflexive_lab` in a child that imports this same package."""
+    src = os.path.dirname(os.path.dirname(reflexive_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "reflexive_lab", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "reflexive_lab", "hstar", "--q", "2,3"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("hstar", "--q", "2,3")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "[1,4,1]"
 
     def test_console_script_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "reflexive_lab", "hstar", "--q", "2,2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("hstar", "--q", "2,2")
         assert proc.returncode == 1
+        assert "not reflexive" in proc.stderr

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import qvectors
 from reflexive_lab import (
+    InternalInconsistency,
     count_dilate_points,
     enumerate_dilate_points,
     fundamental_parallelepiped_histogram,
@@ -11,6 +12,7 @@ from reflexive_lab import (
     make_qvector,
     normalized_volume,
 )
+from reflexive_lab import lattice
 
 
 class TestDilateCounts:
@@ -55,13 +57,29 @@ class TestDilateCounts:
             assert u >= 0
             assert all(s * xi + u * qi >= 0 for xi, qi in zip(x, q.entries))
 
-    def test_numpy_and_python_paths_agree(self):
-        # t=4 pushes the prefix box of this q past the pure-python limit.
-        q = make_qvector([3, 4, 5, 6])
-        for t in (1, 2, 4):
-            points = enumerate_dilate_points(q, t)
-            assert len(points) == count_dilate_points(q, t)
-            assert points == sorted(points)
+    def test_numpy_and_python_paths_agree(self, monkeypatch):
+        # A limit of 0 sends every box to the numpy chunks; a huge one keeps
+        # every box in plain python.  Both must give identical results.
+        grid = [make_qvector(e) for e in ([1], [4], [2, 3], [1, 5], [1, 1, 3],
+                                          [2, 3, 5], [3, 4, 5, 6], [1, 2, 2, 6])]
+
+        def results():
+            return [
+                (
+                    [count_dilate_points(q, t) for t in range(5)],
+                    [enumerate_dilate_points(q, t) for t in range(5)],
+                    fundamental_parallelepiped_points(q),
+                )
+                for q in grid
+            ]
+
+        monkeypatch.setattr(lattice, "_PYTHON_BOX_LIMIT", 0)
+        numpy_results = results()
+        for counts, dilates, _ in numpy_results:
+            assert [len(points) for points in dilates] == counts
+            assert all(points == sorted(points) for points in dilates)
+        monkeypatch.setattr(lattice, "_PYTHON_BOX_LIMIT", 10**9)
+        assert results() == numpy_results
 
     def test_dilate_one_contains_all_vertices_and_origin(self):
         q = make_qvector([2, 2, 15, 20, 20])
@@ -109,3 +127,26 @@ class TestFundamentalParallelepiped:
         points = fundamental_parallelepiped_points(q)
         assert len(points) == normalized_volume(q) == 43
         assert points == sorted(points)
+
+    @pytest.mark.parametrize(
+        "raw, perturb",
+        [
+            # a wrong entry
+            ([2, 3], lambda adj: (adj[0], (adj[1][0] + 1,) + adj[1][1:]) + adj[2:]),
+            # rows of equal entries swapped: same point set, wrong system
+            ([2, 2], lambda adj: (adj[0], adj[2], adj[1])),
+        ],
+        ids=["entry", "swapped_rows"],
+    )
+    def test_perturbed_adjugate_is_rejected(self, monkeypatch, raw, perturb):
+        # The scan trusts the barycentric system only after the independent
+        # adjugate reproduces it row by row, not just its determinant.
+        real = lattice.integer_adjugate
+
+        def perturbed(rows):
+            adj, det = real(rows)
+            return perturb(adj), det
+
+        monkeypatch.setattr(lattice, "integer_adjugate", perturbed)
+        with pytest.raises(InternalInconsistency):
+            fundamental_parallelepiped_points(make_qvector(raw))
