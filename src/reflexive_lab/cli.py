@@ -8,7 +8,6 @@ computation routes disagree — should never happen).
 
 import argparse
 import json
-import os
 import sys
 
 from .core import (
@@ -85,14 +84,6 @@ def _parse_r(text: str) -> tuple:
     return parts
 
 
-def _default_threads() -> int:
-    env = os.environ.get("REFLEXIVE_LAB_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _emit(payload: dict, json_mode: bool, text_lines) -> None:
     if json_mode:
         print(json.dumps(payload))
@@ -103,23 +94,22 @@ def _emit(payload: dict, json_mode: bool, text_lines) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="reflexive-lab", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker count (default: $REFLEXIVE_LAB_THREADS or 1)",
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument(
+        "--json", action="store_true", help="machine-readable output"
     )
-    common.add_argument(
+    caps_flag = argparse.ArgumentParser(add_help=False)
+    caps_flag.add_argument(
         "--oracle-caps",
         metavar="N:VOLUME",
-        default=None,
+        type=_parse_caps,
         help="override oracle feasibility caps, e.g. 7:200",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hstar", parents=[common], help="h*-polynomial of one q-vector")
+    p = sub.add_parser(
+        "hstar", parents=[json_flag, caps_flag], help="h*-polynomial of one q-vector"
+    )
     p.add_argument("--q", required=True, help="comma-separated entries, e.g. 2,3,5")
     p.add_argument(
         "--oracle",
@@ -128,7 +118,9 @@ def build_parser() -> _Parser:
         help="computation route (default: closed form; oracles allow non-reflexive q)",
     )
 
-    p = sub.add_parser("check", parents=[common], help="full classification of one q")
+    p = sub.add_parser(
+        "check", parents=[json_flag, caps_flag], help="full classification of one q"
+    )
     p.add_argument("--q", required=True)
     p.add_argument(
         "--oracle",
@@ -137,16 +129,17 @@ def build_parser() -> _Parser:
     )
 
     p = sub.add_parser(
-        "enumerate", parents=[common], help="q-vectors with a fixed support"
+        "enumerate", parents=[json_flag], help="q-vectors with a fixed support"
     )
     p.add_argument("--r", required=True, help="distinct parts, e.g. 2,5")
-    p.add_argument(
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument(
         "--bound",
         type=int,
         default=None,
         help="per-coordinate cut for unbounded solution families (default 50)",
     )
-    p.add_argument(
+    mode.add_argument(
         "--count",
         type=int,
         default=None,
@@ -155,20 +148,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("freesum", help="affine free sums")
     fs = p.add_subparsers(dest="freesum_command", required=True)
-    c = fs.add_parser("compose", parents=[common], help="compose two reflexive q")
+    c = fs.add_parser("compose", parents=[json_flag], help="compose two reflexive q")
     c.add_argument("--p", required=True)
     c.add_argument("--q", required=True)
-    d = fs.add_parser("decompose", parents=[common], help="find all free-sum splits")
+    d = fs.add_parser("decompose", parents=[json_flag], help="find all free-sum splits")
     d.add_argument("--q", required=True)
 
     p = sub.add_parser(
-        "payne", parents=[common], help="Payne family member (1^(sk-1), s^(r+1))"
+        "payne", parents=[json_flag], help="Payne family member (1^(sk-1), s^(r+1))"
     )
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
 
-    p = sub.add_parser("search", parents=[common], help="classification sweep (JSONL)")
+    p = sub.add_parser(
+        "search", parents=[json_flag, caps_flag], help="classification sweep (JSONL)"
+    )
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--max-entry", type=int, default=12)
@@ -185,6 +180,12 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--output", default=None, help="JSONL path (default: stdout)")
     p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes (default 1); the output does not depend on it",
+    )
+    p.add_argument(
         "--resume",
         action="store_true",
         help="continue an interrupted run from the last complete record",
@@ -195,24 +196,35 @@ def build_parser() -> _Parser:
         help="re-verify ~1%% of records with the brute-force oracles",
     )
 
-    p = sub.add_parser("verify", parents=[common], help="family-level verifications")
-    p.add_argument("what", choices=("two-support", "theorem12"))
-    p.add_argument("--max-part", type=int, default=15, help="two-support: s bound")
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--x-max", type=int, default=10, help="two-support: x bound")
-    p.add_argument("--r-max", type=int, default=8, help="theorem12: r bound")
+    p = sub.add_parser("verify", help="family-level verifications")
+    modes = p.add_subparsers(dest="what", required=True)
+    v = modes.add_parser(
+        "two-support",
+        parents=[json_flag],
+        help="facet scan against the closed-form two-support rule",
+    )
+    v.add_argument("--max-part", type=int, default=15, help="largest part s")
+    v.add_argument("--m-max", type=int, default=10, help="largest multiplicity of r")
+    v.add_argument("--x-max", type=int, default=10, help="largest multiplicity of s")
+    v = modes.add_parser(
+        "theorem12",
+        parents=[json_flag],
+        help="h* of the IDP two-support family against its expansion",
+    )
+    v.add_argument("--r-max", type=int, default=8, help="largest part r")
+    v.add_argument("--m-max", type=int, default=8, help="largest multiplicity of r")
 
     return parser
 
 
-def cmd_hstar(args, caps) -> int:
+def cmd_hstar(args) -> int:
     q = parse_qvector(args.q)
     if args.oracle == "closed":
         h = hstar_closed_form(q)
     elif args.oracle == "interpolation":
-        h = hstar_oracle_interpolation(q, caps)
+        h = hstar_oracle_interpolation(q, args.oracle_caps)
     else:
-        h = hstar_oracle_parallelepiped(q, caps)
+        h = hstar_oracle_parallelepiped(q, args.oracle_caps)
     if h.volume() != normalized_volume(q):
         raise InternalInconsistency(
             f"h* coefficient sum {h.volume()} != normalized volume "
@@ -239,9 +251,9 @@ def cmd_hstar(args, caps) -> int:
     return EXIT_OK
 
 
-def cmd_check(args, caps) -> int:
+def cmd_check(args) -> int:
     q = parse_qvector(args.q)
-    report = evaluate_candidate(q, caps)
+    report = evaluate_candidate(q, args.oracle_caps)
     payload = report.to_json_dict()
     lines = [
         f"q={format_qvector(q)}",
@@ -260,7 +272,7 @@ def cmd_check(args, caps) -> int:
             f"b={report.witness.b} height={report.witness.height}"
         )
     if args.oracle:
-        confirmations = confirm_with_oracles(q, report, caps)
+        confirmations = confirm_with_oracles(q, report, args.oracle_caps)
         payload["oracle"] = confirmations
         lines.append(f"oracle_hstar={confirmations['hstar']}")
         lines.append(f"oracle_idp={confirmations['idp']}")
@@ -274,7 +286,7 @@ def cmd_check(args, caps) -> int:
     return EXIT_COUNTEREXAMPLE if report.counterexample else EXIT_OK
 
 
-def cmd_enumerate(args, caps) -> int:
+def cmd_enumerate(args) -> int:
     r = _parse_r(args.r)
     if args.count is not None:
         family = reflexive_family(r, args.count)
@@ -309,7 +321,7 @@ def cmd_enumerate(args, caps) -> int:
     return EXIT_OK
 
 
-def cmd_freesum(args, caps) -> int:
+def cmd_freesum(args) -> int:
     if args.freesum_command == "compose":
         split = compose(parse_qvector(args.p), parse_qvector(args.q))
         _emit(
@@ -343,7 +355,7 @@ def cmd_freesum(args, caps) -> int:
     return EXIT_OK
 
 
-def cmd_payne(args, caps) -> int:
+def cmd_payne(args) -> int:
     q = payne_qvector(args.s, args.k, args.r)
     product = payne_hstar_product(args.s, args.k, args.r)
     closed = hstar_closed_form(q)
@@ -376,7 +388,7 @@ def cmd_payne(args, caps) -> int:
     return EXIT_OK
 
 
-def cmd_search(args, caps) -> int:
+def cmd_search(args) -> int:
     spec = SearchSpec(
         n_min=args.n_min,
         n_max=args.n_max,
@@ -388,7 +400,7 @@ def cmd_search(args, caps) -> int:
         cross_check=args.cross_check,
         multiplicity_bound=args.bound,
         resume=args.resume,
-        oracle_caps=caps,
+        oracle_caps=args.oracle_caps,
     )
     summary = run_search(spec)
     if args.output:
@@ -396,13 +408,13 @@ def cmd_search(args, caps) -> int:
     return EXIT_COUNTEREXAMPLE if summary.counterexamples else EXIT_OK
 
 
-def cmd_verify(args, caps) -> int:
+def cmd_verify(args) -> int:
     if args.what == "two-support":
-        m_max = args.m_max if args.m_max is not None else 10
-        report = verify_two_support_classification(args.max_part, m_max, args.x_max)
+        report = verify_two_support_classification(
+            args.max_part, args.m_max, args.x_max
+        )
     else:
-        m_max = args.m_max if args.m_max is not None else 8
-        report = verify_two_support_unimodality(args.r_max, m_max)
+        report = verify_two_support_unimodality(args.r_max, args.m_max)
     _emit(
         report.to_json_dict(),
         args.json,
@@ -431,8 +443,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        caps = _parse_caps(args.oracle_caps) if args.oracle_caps else None
-        return _HANDLERS[args.command](args, caps)
+        return _HANDLERS[args.command](args)
     except _CliParseError as exc:
         _report_error("usage_error", str(exc), argv)
         return EXIT_ERROR

@@ -58,15 +58,6 @@ class InternalInconsistency(ReflexiveLabError):
     code = "internal_inconsistency"
 
 
-# A lattice point is a plain tuple of ints.  Cone points carry an explicit
-# height as coordinate 0 (always >= 0); ambient points have length n.
-LatticePoint = tuple
-
-
-def cone_height(point: LatticePoint) -> int:
-    return point[0]
-
-
 @dataclass(frozen=True)
 class QVector:
     """Canonical (sorted) q-vector.  Build via make_qvector."""
@@ -141,12 +132,6 @@ class SupportDecomposition:
     def k(self) -> int:
         return len(self.parts)
 
-    def expand(self) -> QVector:
-        out = []
-        for r, x in zip(self.parts, self.multiplicities):
-            out.extend([r] * x)
-        return QVector(tuple(out))
-
 
 def support_of(q: QVector) -> SupportDecomposition:
     parts = []
@@ -209,16 +194,9 @@ class HStarPolynomial:
         if c[0] != 1:
             raise InvalidQVector("constant coefficient of an h*-vector is 1")
 
-    def trimmed(self) -> tuple:
-        c = self.coefficients
-        last = len(c) - 1
-        while last > 0 and c[last] == 0:
-            last -= 1
-        return c[: last + 1]
-
     @property
     def degree(self) -> int:
-        return len(self.trimmed()) - 1
+        return len(trim_zeros(self)) - 1
 
     def volume(self) -> int:
         """h*(1): the normalized volume of the underlying simplex."""
@@ -238,3 +216,12 @@ def coefficients_of(h: CoefficientsLike) -> tuple:
     if isinstance(h, HStarPolynomial):
         return h.coefficients
     return tuple(h)
+
+
+def trim_zeros(h: CoefficientsLike) -> tuple:
+    """The coefficients without trailing zeros; the first entry always stays."""
+    c = coefficients_of(h)
+    end = len(c)
+    while end > 1 and c[end - 1] == 0:
+        end -= 1
+    return c[:end]

@@ -22,9 +22,9 @@ from .core import (
     OracleTooLarge,
     PayneConstraint,
     QVector,
-    coefficients_of,
     is_reflexive,
     normalized_volume,
+    trim_zeros,
 )
 from .lattice import count_dilate_points, fundamental_parallelepiped_histogram
 
@@ -94,20 +94,13 @@ def hstar_oracle_parallelepiped(q: QVector, caps: OracleCaps = None) -> HStarPol
     return HStarPolynomial(tuple(fundamental_parallelepiped_histogram(q)))
 
 
-def _trim(coeffs):
-    last = len(coeffs) - 1
-    while last >= 0 and coeffs[last] == 0:
-        last -= 1
-    return coeffs[: last + 1]
-
-
 def is_unimodal(h) -> bool:
     """Rise-then-fall after trimming trailing zeros.
 
     Internal zeros between positive entries count as dips.  The empty and
     single-entry sequences are unimodal.
     """
-    c = _trim(coefficients_of(h))
+    c = trim_zeros(h)
     i = 0
     while i + 1 < len(c) and c[i] <= c[i + 1]:
         i += 1
@@ -118,7 +111,7 @@ def is_unimodal(h) -> bool:
 
 def is_symmetric(h) -> bool:
     """Palindrome test on the trimmed coefficient vector."""
-    c = _trim(coefficients_of(h))
+    c = trim_zeros(h)
     return c == tuple(reversed(c))
 
 

@@ -1,21 +1,26 @@
 """Exact rational linear algebra over fractions.Fraction.
 
-Small dense systems only (k <= 8 or so): reduced row echelon form, affine
-solve with kernel basis, and matrix inversion with determinant tracking.
+Small dense systems only (k <= 8 or so): one Gauss-Jordan elimination with
+determinant tracking, behind an affine solve with kernel basis and an
+integer adjugate.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence
 
 
 def rref(rows):
-    """In-place-free RREF.  Returns (reduced rows, pivot column list)."""
+    """Gauss-Jordan elimination.  Returns (reduced rows, pivot columns, det).
+
+    `det` is the product of the pivots, with the sign flipped on each row
+    swap: the determinant of the leading square block whenever each of its
+    columns holds a pivot.
+    """
     m = [[Fraction(v) for v in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
+    det = Fraction(1)
     r = 0
     for c in range(ncols):
         pivot_row = None
@@ -25,8 +30,11 @@ def rref(rows):
                 break
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            det = -det
         pv = m[r][c]
+        det *= pv
         m[r] = [v / pv for v in m[r]]
         for i in range(nrows):
             if i != r and m[i][c] != 0:
@@ -36,7 +44,7 @@ def rref(rows):
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    return m, pivots, det
 
 
 @dataclass(frozen=True)
@@ -46,19 +54,18 @@ class AffineSolution:
     consistent: bool
     particular: tuple  # Fractions, free coordinates set to 0; () if inconsistent
     kernel_basis: tuple  # tuple of Fraction tuples, one per free column
-    pivot_columns: tuple
     free_columns: tuple
 
 
 def solve_affine(a_rows, b) -> AffineSolution:
     ncols = len(a_rows[0])
     aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    red, pivots = rref(aug)
+    red, pivots, _ = rref(aug)
     pivots = [c for c in pivots if c < ncols]
     # Inconsistent iff some reduced row is (0 ... 0 | nonzero).
     for row in red:
         if all(v == 0 for v in row[:ncols]) and row[ncols] != 0:
-            return AffineSolution(False, (), (), tuple(pivots), ())
+            return AffineSolution(False, (), (), ())
     free = [c for c in range(ncols) if c not in pivots]
     particular = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
@@ -70,51 +77,25 @@ def solve_affine(a_rows, b) -> AffineSolution:
         for r, c in enumerate(pivots):
             v[c] = -red[r][fc]
         kernel.append(tuple(v))
-    return AffineSolution(True, tuple(particular), tuple(kernel), tuple(pivots), tuple(free))
-
-
-def invert_with_det(rows):
-    """Invert a square integer matrix; returns (inverse Fractions, det Fraction).
-
-    Gauss-Jordan on [M | I] with determinant tracked through pivots and swaps.
-    Raises ZeroDivisionError on singular input.
-    """
-    n = len(rows)
-    m = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise ZeroDivisionError("singular matrix")
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        pv = m[c][c]
-        det *= pv
-        m[c] = [v / pv for v in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    inverse = [tuple(row[n:]) for row in m]
-    return inverse, det
+    return AffineSolution(True, tuple(particular), tuple(kernel), tuple(free))
 
 
 def integer_adjugate(rows):
-    """Adjugate and determinant of an integer matrix, both integral.
+    """Adjugate and determinant of a square integer matrix, both integral.
 
-    adj(M) = det(M) * M^{-1}; for integer M the entries are integers.
+    Eliminating [M | I] leaves M^{-1} on the right, and adj(M) = det(M) M^{-1};
+    for integer M the entries are integers.  Raises ZeroDivisionError on
+    singular input.
     """
-    inverse, det = invert_with_det(rows)
+    n = len(rows)
+    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    red, pivots, det = rref([list(row) + e for row, e in zip(rows, identity)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
     adj = []
-    for row in inverse:
+    for row in red:
         out = []
-        for v in row:
+        for v in row[n:]:
             scaled = v * det
             if scaled.denominator != 1:
                 raise ArithmeticError("adjugate of an integer matrix must be integral")
@@ -123,15 +104,3 @@ def integer_adjugate(rows):
     if det.denominator != 1:
         raise ArithmeticError("determinant of an integer matrix must be integral")
     return tuple(adj), int(det)
-
-
-def primitive_integer_vector(v: Sequence[Fraction]):
-    """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    denom = lcm(*[Fraction(x).denominator for x in v]) if v else 1
-    ints = [int(Fraction(x) * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)

@@ -208,6 +208,7 @@ def _cross_check_selected(entries) -> bool:
 def confirm_with_oracles(q: QVector, report: CandidateReport, caps: OracleCaps = None):
     """Re-derive a report's h* and IDP verdict with the brute-force oracles.
 
+    `caps` bounds all three oracles; None keeps each oracle's own default.
     Raises InternalInconsistency on any disagreement.  Returns the status of
     each check ("confirmed", or "skipped" when there is nothing to check or
     the oracle is beyond its caps) and the IDP oracle's witness, if any.
@@ -228,7 +229,7 @@ def confirm_with_oracles(q: QVector, report: CandidateReport, caps: OracleCaps =
             out["hstar"] = "confirmed"
     if report.idp is not None:
         try:
-            oracle = idp_oracle_bruteforce(q)
+            oracle = idp_oracle_bruteforce(q, caps)
         except OracleTooLarge:
             oracle = None
         if oracle is not None:
@@ -258,7 +259,6 @@ def _search_worker(entries, caps, filters, cross_check):
 class SearchSummary:
     counts: dict
     counterexamples: tuple
-    records_written: int
     metadata: dict = field(default_factory=dict)
 
     def to_json_line(self) -> str:
@@ -393,10 +393,7 @@ def run_search(spec: SearchSpec) -> SearchSummary:
         lines.append(json.dumps(record, separators=(",", ":")))
 
     summary = SearchSummary(
-        counts=counts,
-        counterexamples=tuple(counterexamples),
-        records_written=counts["emitted"],
-        metadata=metadata,
+        counts=counts, counterexamples=tuple(counterexamples), metadata=metadata
     )
     text = "\n".join(lines + [summary.to_json_line()]) + "\n"
     if spec.output:

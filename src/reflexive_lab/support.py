@@ -20,7 +20,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .core import GcdNotOne, InvalidRVector, NoSolution, QVector, make_qvector
-from .linalg import primitive_integer_vector, solve_affine
+from .linalg import solve_affine
 
 DEFAULT_BOUND = 50
 
@@ -68,14 +68,11 @@ class SolutionSet:
 
     kind == "finite": `solutions` is the complete list.
     kind == "unbounded_family": `solutions` is the slice with every free
-    coordinate at most `bound`; `base` is the smallest solution found and
-    `kernel_basis` spans the integer directions of the family.
+    coordinate at most `bound`.
     """
 
     kind: str
     solutions: tuple
-    base: tuple = None
-    kernel_basis: tuple = None
     bound: int = None
 
 
@@ -143,14 +140,7 @@ def solve_positive(system: SupportSystem, bound: int = None) -> SolutionSet:
     bound = DEFAULT_BOUND if bound is None else bound
     free_ranges = [range(1, bound + 1) for _ in sol.free_columns]
     found = sorted(_scan_free(sol, free_ranges, upper=bound), key=key)
-    kernel = tuple(primitive_integer_vector(v) for v in sol.kernel_basis)
-    return SolutionSet(
-        kind="unbounded_family",
-        solutions=tuple(found),
-        base=found[0] if found else None,
-        kernel_basis=kernel,
-        bound=bound,
-    )
+    return SolutionSet(kind="unbounded_family", solutions=tuple(found), bound=bound)
 
 
 def _scan_free(sol, free_ranges, upper):

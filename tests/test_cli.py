@@ -135,6 +135,16 @@ class TestCheck:
         payload = json.loads(out)
         assert payload == evaluate_candidate(make_qvector([3, 20, 24, 24, 24, 24])).to_json_dict()
 
+    def test_caps_reach_idp_oracle(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--q", "1,3,6,22,33", "--oracle", "--oracle-caps", "7:200"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "idp=false" in lines
+        assert "oracle_idp=confirmed" in lines
+        assert "oracle_witness dilate=2 point=0,-2,-4,-15,-22" in lines
+
     def test_oracle_skipped_beyond_caps(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--q", "30,31", "--oracle", "--json")
         assert code == 0
@@ -161,7 +171,8 @@ class TestOracleDisagreement:
         "search", "--n-min", "5", "--n-max", "5", "--max-entry", "2",
         "--threads", "1", "--cross-check",
     )
-    # h* oracle caps too small to run; the IDP oracle must still be consulted.
+    # h* oracle caps too small to run; the IDP oracle (faked below, so it
+    # ignores the caps) must still be consulted.
     NO_HSTAR = ("--oracle-caps", "1:1")
 
     @pytest.mark.parametrize("argv", [CHECK, SEARCH])
@@ -322,23 +333,21 @@ class TestSearch:
         records = [json.loads(line) for line in out.splitlines()]
         assert [2, 2, 5] in [r.get("q") for r in records]
 
-    def test_threads_env_default(self, capsys, monkeypatch):
-        seen = {}
+    def test_threads_flag(self, capsys, monkeypatch):
+        seen = []
 
         def fake_run(spec):
-            seen["spec"] = spec
-            return SearchSummary(counts={}, counterexamples=(), records_written=0)
+            seen.append(spec.threads)
+            return SearchSummary(counts={}, counterexamples=())
 
-        monkeypatch.setenv("REFLEXIVE_LAB_THREADS", "3")
         monkeypatch.setattr("reflexive_lab.cli.run_search", fake_run)
-        code, _, _ = run_cli(capsys, "search", "--n-max", "1", "--max-entry", "1")
-        assert code == 0
-        assert seen["spec"].threads == 3
+        argv = ("search", "--n-max", "1", "--max-entry", "1")
+        assert run_cli(capsys, *argv)[0] == 0
+        assert run_cli(capsys, *argv, "--threads", "3")[0] == 0
+        assert seen == [1, 3]
 
     def test_counterexample_exit_code(self, capsys, monkeypatch):
-        fake = SearchSummary(
-            counts={}, counterexamples=((2, 3),), records_written=1
-        )
+        fake = SearchSummary(counts={}, counterexamples=((2, 3),))
         monkeypatch.setattr("reflexive_lab.cli.run_search", lambda spec: fake)
         code, _, _ = run_cli(capsys, "search", "--n-max", "1", "--max-entry", "1")
         assert code == 2
@@ -393,6 +402,20 @@ class TestErrorHandling:
             )
             assert code == 1
             assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--q", "2,3", "--threads", "2"),
+            ("payne", "--s", "3", "--k", "2", "--r", "0", "--oracle-caps", "7:200"),
+            ("verify", "theorem12", "--max-part", "5"),
+            ("enumerate", "--r", "1,3", "--count", "2", "--bound", "5"),
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "error:" in err
 
     def test_bad_filter_name(self, capsys):
         code, _, err = run_cli(capsys, "search", "--filter", "bogus")
