@@ -13,10 +13,15 @@ height_j(b) >= 2 splits as b = c + (b - c) with
 
 The brute-force oracle instead enumerates the lattice points of the m-th
 dilates directly and compares them with iterated sumsets of the points of
-the first dilate.
+the first dilate.  Each point c is keyed by the integer sum_i c_i * R^i with
+R = 2 n s + 1 (s = 1 + sum(q)).  Every coordinate of a point of m * Delta with
+m <= n lies in [-m q_i, m], so |c_i| <= n (s - 1) < R / 2; balanced base-R
+digits are unique, so the key is injective on those dilates, and since it is
+linear the sumsets are built by adding keys.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from .core import InternalInconsistency, NotReflexive, QVector, is_reflexive, normalized_volume
 from .ehrhart import OracleCaps
@@ -133,6 +138,13 @@ class IdpOracleResult:
         return self.is_idp
 
 
+def _key_weights(q: QVector):
+    """R^i for i < n, R = 2 n s + 1: the weights of the point key (module
+    docstring), injective on m * Delta for m <= n."""
+    radix = 2 * q.n * normalized_volume(q) + 1
+    return [radix**i for i in range(q.n)]
+
+
 def idp_oracle_bruteforce(q: QVector, caps: OracleCaps = None) -> IdpOracleResult:
     """Compare m-th dilate points with m-fold sumsets of first-dilate points.
 
@@ -142,13 +154,16 @@ def idp_oracle_bruteforce(q: QVector, caps: OracleCaps = None) -> IdpOracleResul
     """
     caps = caps or IDP_ORACLE_CAPS
     caps.check(q, "IDP oracle")
-    base = enumerate_dilate_points(q, 1)
-    base_set = set(base)
-    sums = base_set
+    weights = _key_weights(q)
+
+    def key(point):
+        return sum(map(mul, point, weights))
+
+    base = [key(p) for p in enumerate_dilate_points(q, 1)]
+    sums = set(base)
     for m in range(2, q.n + 1):
-        sums = {tuple(a + b for a, b in zip(p, v)) for p in sums for v in base}
+        sums = {p + v for p in sums for v in base}
         for point in enumerate_dilate_points(q, m):
-            if point not in sums:
+            if key(point) not in sums:
                 return IdpOracleResult(False, witness_dilate=m, witness_point=point)
     return IdpOracleResult(True)
-

@@ -11,9 +11,13 @@ the cone generators (1, -q), (1, e_1), ..., (1, e_n), multiplied by s, are
 * The half-open fundamental parallelepiped is 0 <= s * lam_j <= s - 1 for
   every j, at heights h = 0..n.
 
-Once the prefix (h, x_1, ..., x_(n-1)) is fixed, every inequality bounds the
-last coordinate alone, so `_interval` solves the system for x_n as an exact
-integer interval and `_scan` walks a bounding box of prefixes, counting or
+The dilate is scanned level by level (`_dilate_scan`): a numpy frontier of
+prefixes (x_1, ..., x_k) grows one coordinate at a time, each bounded by the
+exact projection of t * Delta onto the prefix, so the work scales with the
+points listed rather than with a bounding box.  The parallelepiped keeps a
+box scan: once the prefix (h, x_1, ..., x_(n-1)) is fixed, every inequality
+bounds the last coordinate alone, so `_interval` solves the system for x_n
+as an exact integer interval and `_scan` walks a bounding box of prefixes,
 listing each interval.  Small boxes run in plain Python; larger ones run in
 numpy chunks whose leading prefix values stay Python ints and whose trailing
 values are meshgrid columns.  The parallelepiped oracle first checks the
@@ -80,26 +84,20 @@ def _interval(q, s, upper, prefix):
     return lo, hi
 
 
-def _scan(q, prefix_ranges, upper, count_only):
-    """Count, or list in lex order, the points (prefix, x_n) of the system."""
+def _scan(q, prefix_ranges, upper):
+    """List in lex order the points (prefix, x_n) of the system."""
     s = 1 + sum(q)
-    total, points = 0, []
+    points = []
     if prod(len(r) for r in prefix_ranges) <= _PYTHON_BOX_LIMIT:
         for prefix in product(*prefix_ranges):
             lo, hi = _interval(q, s, upper, prefix)
             if hi < lo:
                 continue
-            if count_only:
-                total += hi - lo + 1
-            else:
-                points.extend(prefix + (x,) for x in range(lo, hi + 1))
-        return total if count_only else points
+            points.extend(prefix + (x,) for x in range(lo, hi + 1))
+        return points
     for lead, trailing in _prefix_chunks(prefix_ranges):
         lo, hi = _interval(q, s, upper, (*lead, *trailing))
         reps = np.maximum(hi - lo + 1, 0)
-        if count_only:
-            total += int(reps.sum())
-            continue
         mask = reps > 0
         reps = reps[mask]
         size = int(reps.sum())
@@ -112,24 +110,55 @@ def _scan(q, prefix_ranges, upper, count_only):
         cols += [np.repeat(col[mask], reps) for col in trailing]
         cols.append(np.repeat(lo[mask], reps) + offsets)
         points.extend(map(tuple, np.stack(cols, axis=1).tolist()))
-    return total if count_only else points
+    return points
 
 
-def _dilate_ranges(q: QVector, t: int):
-    """Prefix box at height t: x_i in [-t * q_i, t] for i < n."""
+def _dilate_scan(q, t, count_only):
+    """Count, or list in lex order as an int64 array, the points of t * Delta.
+
+    The frontier holds every prefix (x_1, ..., x_(k-1)) that survives the
+    projection bounds, with rest = t - sum(x) and
+    a_lo = max(0, max_i ceil(-s * x_i / q_i)), the least a the prefix allows.
+    With T_k = sum_{i > k} q_i, the integer points of the projection of
+    t * Delta onto (x_1, ..., x_k) have
+
+        ceil(-rest * q_k / (s - T_(k-1))) <= x_k <= rest - ceil(a_lo * (s - T_k) / s),
+
+    from lam_0, lam_k >= 0 and lam_0 + lam_1 + ... + lam_k <= t.  At k = n
+    (T_n = 0) these are `_interval`'s dilate bounds, so the last level is
+    exact and the earlier ones only prune.
+    """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
-    return [range(t, t + 1)] + [range(-t * qi, t + 1) for qi in q.entries[:-1]]
+    s = 1 + sum(q)
+    prefixes = np.zeros((1, 0), dtype=np.int64)
+    rest = np.full(1, t, dtype=np.int64)
+    a_lo = np.zeros(1, dtype=np.int64)
+    tail = s - 1  # T_(k-1)
+    for k, qk in enumerate(q, start=1):
+        lo = -((rest * qk) // (s - tail))
+        tail -= qk
+        hi = rest + (-a_lo * (s - tail)) // s
+        reps = np.maximum(hi - lo + 1, 0)
+        if count_only and k == len(q):
+            return int(reps.sum())
+        # Expand each prefix into its x_k interval, preserving lex order.
+        ends = np.cumsum(reps)
+        x = np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(lo - ends + reps, reps)
+        prefixes = np.column_stack((np.repeat(prefixes, reps, axis=0), x))
+        rest = np.repeat(rest, reps) - x
+        a_lo = np.maximum(np.repeat(a_lo, reps), -((s * x) // qk))
+    return prefixes
 
 
 def count_dilate_points(q: QVector, t: int) -> int:
     """#(t * Delta cap Z^n), exactly."""
-    return _scan(q.entries, _dilate_ranges(q, t), None, True)
+    return _dilate_scan(q.entries, t, True)
 
 
 def enumerate_dilate_points(q: QVector, t: int):
     """All points of t * Delta cap Z^n as tuples, lexicographically sorted."""
-    return [p[1:] for p in _scan(q.entries, _dilate_ranges(q, t), None, False)]
+    return list(map(tuple, _dilate_scan(q.entries, t, False).tolist()))
 
 
 def _cone_matrix(geom: SimplexGeometry):
@@ -175,7 +204,7 @@ def fundamental_parallelepiped_points(q: QVector):
     # The last coordinate has the widest range (entries are sorted), so it
     # is the one replaced by interval arithmetic.
     prefix_ranges = [range(0, n + 1)] + [range(-qj, 2) for qj in q.entries[:-1]]
-    points = _scan(q.entries, prefix_ranges, s - 1, False)
+    points = _scan(q.entries, prefix_ranges, s - 1)
     if len(points) != s:
         raise InternalInconsistency(
             f"parallelepiped holds {len(points)} lattice points, expected {s}"

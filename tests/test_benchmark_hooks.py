@@ -20,4 +20,8 @@ def test_every_traced_name_exists(monkeypatch, capsys):
     capsys.readouterr()
     assert tracer.calls["cli.main"] == 1
     assert tracer.calls["linalg.integer_adjugate"] >= 1
+    # the per-layer metrics of the brute-force dilate oracles
+    assert tracer.calls["lattice.count_dilate_points"] >= 1
+    assert tracer.calls["lattice.enumerate_dilate_points"] >= 1
+    assert tracer.calls["idp.idp_oracle_bruteforce"] >= 1
     assert reflexive_lab.cli.main is main

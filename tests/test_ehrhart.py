@@ -87,6 +87,13 @@ class TestInterpolationOracle:
     def test_non_reflexive_input_allowed(self):
         assert hstar_oracle_interpolation(make_qvector([2, 2])).coefficients == (1, 2, 2)
 
+    def test_large_q_within_default_caps(self):
+        # n = 7 and sum 167: a scan of the box x_i in [-t q_i, t] would visit
+        # ~2 * 10^13 prefixes at t = 7, for a dilate of 60,803 points.
+        q = make_qvector([21, 21, 21, 24, 24, 28, 28])
+        assert is_reflexive(q) and q.n == 7 and sum(q.entries) == 167
+        assert hstar_oracle_interpolation(q) == hstar_closed_form(q)
+
 
 class TestParallelepipedOracle:
     def test_all_ones(self):

@@ -1,19 +1,39 @@
 import pytest
 from hypothesis import given
 
-from conftest import reflexive_qvectors
+from conftest import qvectors, reflexive_qvectors
 from reflexive_lab import (
     NotReflexive,
+    OracleCaps,
     OracleTooLarge,
+    enumerate_dilate_points,
     hstar_closed_form,
     idp_certificates,
     idp_check,
     idp_oracle_bruteforce,
     is_unimodal,
+    iter_reflexive_qvectors,
     make_qvector,
     necessary_condition,
 )
-from reflexive_lab.idp import _facet_heights
+from reflexive_lab.idp import _facet_heights, _key_weights
+
+
+def tuple_sumset_oracle(q):
+    """The IDP oracle with m-fold sumsets of coordinate tuples, as a reference
+    for the integer-keyed one: (is_idp, witness dilate, witness point)."""
+    base = enumerate_dilate_points(q, 1)
+    sums = set(base)
+    for m in range(2, q.n + 1):
+        sums = {tuple(a + b for a, b in zip(p, v)) for p in sums for v in base}
+        for point in enumerate_dilate_points(q, m):
+            if point not in sums:
+                return False, m, point
+    return True, None, None
+
+
+def oracle_triple(res):
+    return res.is_idp, res.witness_dilate, res.witness_point
 
 
 class TestIdpCheck:
@@ -113,6 +133,30 @@ class TestBruteForceOracle:
     @given(reflexive_qvectors())
     def test_matches_facet_scan(self, q):
         assert idp_oracle_bruteforce(q).is_idp == idp_check(q).is_idp
+
+    def test_integer_keys_match_tuple_sumsets(self):
+        # Every reflexive q with n <= 5 and sum <= 40, and every reflexive q
+        # with n = 6 at the largest sum the default caps allow (59).
+        grid = list(iter_reflexive_qvectors(5, 40))
+        grid += [q for q in iter_reflexive_qvectors(6, 60)
+                 if q.n == 6 and sum(q.entries) == 59]
+        assert len(grid) == 150 + 123
+        for q in grid:
+            assert oracle_triple(idp_oracle_bruteforce(q)) == tuple_sumset_oracle(q), q
+
+    @given(qvectors(max_n=3, max_entry=5))
+    def test_point_keys_injective_up_to_dilate_n(self, q):
+        weights = _key_weights(q)
+        for m in range(1, q.n + 1):
+            points = enumerate_dilate_points(q, m)
+            keys = {sum(c * w for c, w in zip(p, weights)) for p in points}
+            assert len(keys) == len(points)
+
+    def test_integer_keys_beyond_default_caps(self):
+        q = make_qvector([1, 3, 6, 22, 33])
+        res = idp_oracle_bruteforce(q, OracleCaps(7, 200))
+        assert oracle_triple(res) == tuple_sumset_oracle(q)
+        assert oracle_triple(res) == (False, 2, (0, -2, -4, -15, -22))
 
 
 class TestCertificates:

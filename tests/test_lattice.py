@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,17 @@ from reflexive_lab import (
     normalized_volume,
 )
 from reflexive_lab import lattice
+
+
+def box_filtered_dilate(q, t):
+    """t * Delta cap Z^n by filtering the whole box [-t q_i, t]^n, in lex order."""
+    s = normalized_volume(q)
+    points = []
+    for x in product(*[range(-t * qi, t + 1) for qi in q.entries]):
+        u = t - sum(x)
+        if u >= 0 and all(s * xi + u * qi >= 0 for xi, qi in zip(x, q.entries)):
+            points.append(x)
+    return points
 
 
 class TestDilateCounts:
@@ -50,36 +63,26 @@ class TestDilateCounts:
         assert points == sorted(points)
 
     @given(qvectors(max_n=3, max_entry=5), st.integers(min_value=0, max_value=3))
-    def test_enumerated_points_satisfy_membership(self, q, t):
-        s = normalized_volume(q)
-        for x in enumerate_dilate_points(q, t):
-            u = t - sum(x)
-            assert u >= 0
-            assert all(s * xi + u * qi >= 0 for xi, qi in zip(x, q.entries))
+    def test_enumeration_matches_box_filter(self, q, t):
+        assert enumerate_dilate_points(q, t) == box_filtered_dilate(q, t)
 
     def test_numpy_and_python_paths_agree(self, monkeypatch):
-        # A limit of 0 sends every box to the numpy chunks; a huge one keeps
-        # every box in plain python.  Both must give identical results.
+        # The parallelepiped scan has two backends: a limit of 0 sends every
+        # box to the numpy chunks, a huge one keeps every box in plain python.
+        # Both must give identical results.  The dilates have one scan, which
+        # must agree with the box filter on the same grid.
         grid = [make_qvector(e) for e in ([1], [4], [2, 3], [1, 5], [1, 1, 3],
                                           [2, 3, 5], [3, 4, 5, 6], [1, 2, 2, 6])]
-
-        def results():
-            return [
-                (
-                    [count_dilate_points(q, t) for t in range(5)],
-                    [enumerate_dilate_points(q, t) for t in range(5)],
-                    fundamental_parallelepiped_points(q),
-                )
-                for q in grid
-            ]
+        for q in grid:
+            for t in range(5):
+                points = box_filtered_dilate(q, t)
+                assert enumerate_dilate_points(q, t) == points
+                assert count_dilate_points(q, t) == len(points)
 
         monkeypatch.setattr(lattice, "_PYTHON_BOX_LIMIT", 0)
-        numpy_results = results()
-        for counts, dilates, _ in numpy_results:
-            assert [len(points) for points in dilates] == counts
-            assert all(points == sorted(points) for points in dilates)
+        numpy_results = [fundamental_parallelepiped_points(q) for q in grid]
         monkeypatch.setattr(lattice, "_PYTHON_BOX_LIMIT", 10**9)
-        assert results() == numpy_results
+        assert [fundamental_parallelepiped_points(q) for q in grid] == numpy_results
 
     def test_dilate_one_contains_all_vertices_and_origin(self):
         q = make_qvector([2, 2, 15, 20, 20])
