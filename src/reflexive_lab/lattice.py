@@ -14,11 +14,13 @@ the cone generators (1, -q), (1, e_1), ..., (1, e_n), multiplied by s, are
 The dilate is scanned level by level (`_dilate_scan`): a numpy frontier of
 prefixes (x_1, ..., x_k) grows one coordinate at a time, each bounded by the
 exact projection of t * Delta onto the prefix, so the work scales with the
-points listed rather than with a bounding box.  The parallelepiped keeps a
-box scan: once the prefix (h, x_1, ..., x_(n-1)) is fixed, every inequality
-bounds the last coordinate alone, so `_interval` solves the system for x_n
-as an exact integer interval and `_scan` walks a bounding box of prefixes,
-listing each interval.  Small boxes run in plain Python; larger ones run in
+points listed rather than with a bounding box.  The frontier is int64 while
+t * s * s, which bounds every intermediate, fits; past that it holds Python
+ints, so no bound wraps.  The parallelepiped keeps a box scan: once the
+prefix (h, x_1, ..., x_(n-1)) is fixed, every inequality bounds the last
+coordinate alone, so `_interval` solves the system for x_n as an exact
+integer interval and `_scan` walks a bounding box of prefixes, listing each
+interval.  Small boxes run in plain Python; larger ones run in
 numpy chunks whose leading prefix values stay Python ints and whose trailing
 values are meshgrid columns.  The parallelepiped oracle first checks the
 system against an independently computed integer adjugate of the cone
@@ -37,6 +39,8 @@ from .linalg import integer_adjugate
 _CHUNK_ROWS = 1 << 19
 # Below this many prefix combinations the plain python path is faster.
 _PYTHON_BOX_LIMIT = 2048
+# The dilate frontier is int64 while t * s * s stays below this (2x headroom).
+_INT64_LIMIT = 2**62
 
 
 def _prefix_chunks(ranges):
@@ -57,46 +61,43 @@ def _prefix_chunks(ranges):
         yield lead, trailing
 
 
-def _interval(q, s, upper, prefix):
-    """Exact feasible [lo, hi] of x_n for the prefix (h, x_1, ..., x_(n-1)).
+def _interval(q, s, prefix):
+    """Exact [lo, hi] of x_n in the parallelepiped, given (h, x_1, ..., x_(n-1)).
 
     Prefix values are Python ints, or Python ints followed by equal-length
-    int64 columns (then lo and hi are columns too).  `upper` caps every
-    s * lam_j: None for a dilate, s - 1 for the half-open parallelepiped.
+    int64 columns (then lo and hi are columns too).  Every s * lam_j lies in
+    [0, s - 1].
     """
     vectorized = isinstance(prefix[-1], np.ndarray)
     most, least = (np.maximum, np.minimum) if vectorized else (max, min)
     # rest = h - sum(prefix x); the final a is rest - x_n.
     rest = prefix[0]
-    a_lo, a_hi = 0, upper  # bounds on a from lam_0, ..., lam_(n-1)
+    a_lo, a_hi = 0, s - 1  # bounds on a from lam_0, ..., lam_(n-1)
     for x, qi in zip(prefix[1:], q):
         rest = rest - x
         a_lo = most(a_lo, -((s * x) // qi))
-        if upper is not None:
-            a_hi = least(a_hi, (upper - s * x) // qi)
+        a_hi = least(a_hi, (s - 1 - s * x) // qi)
     # s * lam_n = (s - q_n) * x_n + rest * q_n
     qn = q[-1]
     d = s - qn
-    lo, hi = -((rest * qn) // d), rest - a_lo
-    if upper is not None:
-        lo = most(lo, rest - a_hi)
-        hi = least(hi, (upper - rest * qn) // d)
+    lo = most(-((rest * qn) // d), rest - a_hi)
+    hi = least(rest - a_lo, (s - 1 - rest * qn) // d)
     return lo, hi
 
 
-def _scan(q, prefix_ranges, upper):
-    """List in lex order the points (prefix, x_n) of the system."""
+def _scan(q, prefix_ranges):
+    """List in lex order the parallelepiped points (prefix, x_n)."""
     s = 1 + sum(q)
     points = []
     if prod(len(r) for r in prefix_ranges) <= _PYTHON_BOX_LIMIT:
         for prefix in product(*prefix_ranges):
-            lo, hi = _interval(q, s, upper, prefix)
+            lo, hi = _interval(q, s, prefix)
             if hi < lo:
                 continue
             points.extend(prefix + (x,) for x in range(lo, hi + 1))
         return points
     for lead, trailing in _prefix_chunks(prefix_ranges):
-        lo, hi = _interval(q, s, upper, (*lead, *trailing))
+        lo, hi = _interval(q, s, (*lead, *trailing))
         reps = np.maximum(hi - lo + 1, 0)
         mask = reps > 0
         reps = reps[mask]
@@ -125,15 +126,18 @@ def _dilate_scan(q, t, count_only):
         ceil(-rest * q_k / (s - T_(k-1))) <= x_k <= rest - ceil(a_lo * (s - T_k) / s),
 
     from lam_0, lam_k >= 0 and lam_0 + lam_1 + ... + lam_k <= t.  At k = n
-    (T_n = 0) these are `_interval`'s dilate bounds, so the last level is
-    exact and the earlier ones only prune.
+    (T_n = 0) they are the bounds lam_0, lam_n >= 0 put on x_n alone, so the
+    last level is exact and the earlier ones only prune.
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
     s = 1 + sum(q)
-    prefixes = np.zeros((1, 0), dtype=np.int64)
-    rest = np.full(1, t, dtype=np.int64)
-    a_lo = np.zeros(1, dtype=np.int64)
+    # Every value below is at most t * s * s in magnitude, since the points
+    # of t * Delta have -t * q_i <= x_i <= t; past int64, use Python ints.
+    dtype = np.int64 if t * s * s < _INT64_LIMIT else object
+    prefixes = np.zeros((1, 0), dtype=dtype)
+    rest = np.full(1, t, dtype=dtype)
+    a_lo = np.zeros(1, dtype=dtype)
     tail = s - 1  # T_(k-1)
     for k, qk in enumerate(q, start=1):
         lo = -((rest * qk) // (s - tail))
@@ -141,8 +145,12 @@ def _dilate_scan(q, t, count_only):
         hi = rest + (-a_lo * (s - tail)) // s
         reps = np.maximum(hi - lo + 1, 0)
         if count_only and k == len(q):
-            return int(reps.sum())
+            # Each interval holds at most t * s + 1 points; sum exactly when
+            # the int64 total could wrap.
+            exact = reps.size * (t * s + 1) >= 2**63
+            return int(reps.sum(dtype=object if exact else None))
         # Expand each prefix into its x_k interval, preserving lex order.
+        reps = reps.astype(np.int64, copy=False)
         ends = np.cumsum(reps)
         x = np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(lo - ends + reps, reps)
         prefixes = np.column_stack((np.repeat(prefixes, reps, axis=0), x))
@@ -204,7 +212,7 @@ def fundamental_parallelepiped_points(q: QVector):
     # The last coordinate has the widest range (entries are sorted), so it
     # is the one replaced by interval arithmetic.
     prefix_ranges = [range(0, n + 1)] + [range(-qj, 2) for qj in q.entries[:-1]]
-    points = _scan(q.entries, prefix_ranges, s - 1)
+    points = _scan(q.entries, prefix_ranges)
     if len(points) != s:
         raise InternalInconsistency(
             f"parallelepiped holds {len(points)} lattice points, expected {s}"

@@ -28,6 +28,22 @@ def box_filtered_dilate(q, t):
     return points
 
 
+def last_coordinate_count(q, t):
+    """#(t * Delta cap Z^n) in Python ints: a box over x_1, ..., x_(n-1), and
+    for each prefix the x_n interval cut out by u >= 0 and s * x_i + u * q_i >= 0."""
+    s = normalized_volume(q)
+    *head, qn = q.entries
+    total = 0
+    for prefix in product(*[range(-t * qi, t + 1) for qi in head]):
+        rest = t - sum(prefix)
+        # u = rest - x_n must be at least every -s * x_i / q_i and 0.
+        u_min = max([0] + [-((s * xi) // qi) for xi, qi in zip(prefix, head)])
+        # s * x_n + (rest - x_n) * q_n >= 0.
+        lo = -((rest * qn) // (s - qn))
+        total += max(rest - u_min - lo + 1, 0)
+    return total
+
+
 class TestDilateCounts:
     def test_unit_tetrahedron_counts(self):
         # Verified by brute-force box scan and by series inversion against
@@ -79,10 +95,31 @@ class TestDilateCounts:
                 assert enumerate_dilate_points(q, t) == points
                 assert count_dilate_points(q, t) == len(points)
 
+        # The dilate frontier holds Python ints past int64; forced, it must
+        # give the same points.
+        monkeypatch.setattr(lattice, "_INT64_LIMIT", 0)
+        for q in grid:
+            for t in range(5):
+                points = box_filtered_dilate(q, t)
+                assert enumerate_dilate_points(q, t) == points
+                assert count_dilate_points(q, t) == len(points)
+        monkeypatch.undo()
+
         monkeypatch.setattr(lattice, "_PYTHON_BOX_LIMIT", 0)
         numpy_results = [fundamental_parallelepiped_points(q) for q in grid]
         monkeypatch.setattr(lattice, "_PYTHON_BOX_LIMIT", 10**9)
         assert [fundamental_parallelepiped_points(q) for q in grid] == numpy_results
+
+    @pytest.mark.parametrize("raw", [[1, 2**32 - 1], [2**32 - 1], [1, 1, 2**32 - 1]])
+    def test_entries_at_the_word_bound_count_exactly(self, raw):
+        # t * s * s passes int64 here; the counts must not wrap.
+        q = make_qvector(raw)
+        for t in range(3):
+            assert count_dilate_points(q, t) == last_coordinate_count(q, t)
+
+    def test_entries_at_the_word_bound_known_counts(self):
+        q = make_qvector([1, 2**32 - 1])
+        assert [count_dilate_points(q, t) for t in range(3)] == [1, 2147483651, 8589934598]
 
     def test_dilate_one_contains_all_vertices_and_origin(self):
         q = make_qvector([2, 2, 15, 20, 20])
