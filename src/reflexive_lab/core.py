@@ -128,10 +128,6 @@ class SupportDecomposition:
         if any(m < 1 for m in self.multiplicities):
             raise InvalidQVector("multiplicities must be positive")
 
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
 
 def support_of(q: QVector) -> SupportDecomposition:
     parts = []
@@ -154,26 +150,6 @@ def is_reflexive(q: QVector) -> bool:
     # q_j | 1 + sum_{i != j} q_i for every j, written via s = 1 + sum(q).
     s = normalized_volume(q)
     return all((s - v) % v == 0 for v in set(q.entries))
-
-
-@dataclass(frozen=True)
-class SimplexGeometry:
-    """Vertex data for the simplex of q: e_1, ..., e_n and the apex -q."""
-
-    qvector: QVector
-    vertices: tuple
-    s_total: int
-
-    @classmethod
-    def from_qvector(cls, q: QVector) -> "SimplexGeometry":
-        n = q.n
-        verts = []
-        for i in range(n):
-            v = [0] * n
-            v[i] = 1
-            verts.append(tuple(v))
-        verts.append(tuple(-v for v in q.entries))
-        return cls(qvector=q, vertices=tuple(verts), s_total=normalized_volume(q))
 
 
 CoefficientsLike = Union["HStarPolynomial", Sequence]

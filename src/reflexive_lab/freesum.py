@@ -81,28 +81,3 @@ def decompose(y: QVector) -> list:
     splits.sort(key=lambda sp: (sp.s, sp.p.entries, sp.q.entries))
     return splits
 
-
-def decomposes_by_divisible_support(q: QVector):
-    """Split off the all-ones tail when the support is a divisor chain.
-
-    Applies when every part divides the largest part r_k and
-    r_k == 1 + sum_{i < k} x_i r_i; then q is the free sum of
-    (r_1^(x_1), ..., r_(k-1)^(x_(k-1))) with (1^(x_k)).  Returns the split,
-    or None when the hypotheses fail.
-    """
-    sup = support_of(q)
-    k = sup.k
-    if k < 2:
-        return None
-    r_k = sup.parts[-1]
-    if any(r_k % r != 0 for r in sup.parts[:-1]):
-        return None
-    head_sum = sum(r * x for r, x in zip(sup.parts[:-1], sup.multiplicities[:-1]))
-    if r_k != 1 + head_sum:
-        return None
-    p_entries = []
-    for r, x in zip(sup.parts[:-1], sup.multiplicities[:-1]):
-        p_entries.extend([r] * x)
-    p = make_qvector(p_entries)
-    ones = make_qvector([1] * sup.multiplicities[-1])
-    return FreeSumSplit(p=p, q=ones, s=r_k, y=q)

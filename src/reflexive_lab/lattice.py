@@ -32,7 +32,7 @@ from math import prod
 
 import numpy as np
 
-from .core import InternalInconsistency, QVector, SimplexGeometry
+from .core import InternalInconsistency, QVector
 from .linalg import integer_adjugate
 
 # Rows per numpy chunk; keeps peak memory around tens of MB.
@@ -169,13 +169,12 @@ def enumerate_dilate_points(q: QVector, t: int):
     return list(map(tuple, _dilate_scan(q.entries, t, False).tolist()))
 
 
-def _cone_matrix(geom: SimplexGeometry):
-    """Columns (1, apex), (1, e_1), ..., (1, e_n); apex weight is lam_0."""
-    n = geom.qvector.n
-    verts = [geom.vertices[-1]] + list(geom.vertices[:-1])
+def _cone_matrix(q: QVector):
+    """Columns (1, -q), (1, e_1), ..., (1, e_n); the apex weight is lam_0."""
+    n = q.n
     rows = [[1] * (n + 1)]
-    for r in range(n):
-        rows.append([v[r] for v in verts])
+    for r, qr in enumerate(q.entries):
+        rows.append([-qr] + [1 if i == r else 0 for i in range(n)])
     return rows
 
 
@@ -196,10 +195,9 @@ def fundamental_parallelepiped_points(q: QVector):
     Raises InternalInconsistency unless the sign-normalised adjugate of the
     cone matrix is exactly the barycentric system the scan solves.
     """
-    geom = SimplexGeometry.from_qvector(q)
     n = q.n
-    s = geom.s_total
-    adj, det = integer_adjugate(_cone_matrix(geom))
+    s = 1 + sum(q.entries)
+    adj, det = integer_adjugate(_cone_matrix(q))
     if det < 0:
         det = -det
         adj = tuple(tuple(-v for v in row) for row in adj)

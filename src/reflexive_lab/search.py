@@ -7,8 +7,11 @@ across --threads settings.  Wall-clock timings never enter the wire format.
 """
 
 import json
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from multiprocessing import get_context
 
 from .core import (
@@ -60,6 +63,8 @@ class SearchSpec:
             raise ValueError("max_entry must be positive")
         if self.threads < 1:
             raise ValueError("threads must be positive")
+        if self.resume and not self.output:
+            raise ValueError("resume needs an output file to continue")
 
 
 @dataclass
@@ -317,56 +322,54 @@ def _candidates_for(spec: SearchSpec):
     return list(iter_qvectors(spec.n_min, spec.n_max, spec.max_entry)), metadata
 
 
-def _load_resume_state(path, candidates):
-    """Completed records from an interrupted run; returns (lines, skip_count)."""
-    import os
+def _load_resume_state(path, candidates, filtered):
+    """Completed records of an interrupted run, and the candidate index to
+    restart at.
 
+    The records' q must be the first candidates in order or, when filters
+    drop records, candidates in strictly increasing canonical position;
+    otherwise the file belongs to another search and ValueError is raised
+    before anything is written.
+    """
     if not os.path.exists(path):
         return [], 0
     kept = []
-    last_q = None
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.rstrip("\n")
-            if not line:
+            if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 break  # torn tail from the interruption
-            if "summary" in obj:
-                continue  # drop; it is rewritten after the run completes
-            kept.append(line)
-            last_q = tuple(obj["q"])
-    if last_q is None:
-        return [], 0
-    skip = 0
-    for i, q in enumerate(candidates):
-        if q.entries == last_q:
-            skip = i + 1
-            break
-    return kept, skip
+            if "summary" not in obj:  # a stale summary is rewritten at the end
+                kept.append(obj)
+    start = 0
+    for record in kept:
+        q = tuple(record["q"])
+        if filtered:
+            while start < len(candidates) and candidates[start].entries != q:
+                start += 1
+        if start == len(candidates) or candidates[start].entries != q:
+            raise ValueError(
+                f"cannot resume {path}: its record q = {','.join(map(str, q))} "
+                f"is not the next candidate of this search"
+            )
+        start += 1
+    return kept, start
 
 
 def run_search(spec: SearchSpec) -> SearchSummary:
-    """Evaluate all candidates, stream JSONL records, append a summary line."""
-    candidates = _candidates_for(spec)
-    candidates, metadata = candidates
+    """Evaluate all candidates, then write the JSONL records and a summary line."""
+    candidates, metadata = _candidates_for(spec)
     counts = {k: 0 for k in _SUMMARY_KEYS}
     counts["candidates"] = len(candidates)
     counterexamples = []
 
-    kept_lines = []
-    skip = 0
-    if spec.resume and spec.output:
-        kept_lines, skip = _load_resume_state(spec.output, candidates)
-        for line in kept_lines:
-            record = json.loads(line)
-            _tally(counts, record)
-            if record["counterexample"]:
-                counterexamples.append(tuple(record["q"]))
-
-    todo = [q.entries for q in candidates[skip:]]
+    kept, start = [], 0
+    if spec.resume:
+        kept, start = _load_resume_state(spec.output, candidates, bool(spec.filters))
+    todo = [q.entries for q in candidates[start:]]
     worker = partial(
         _search_worker,
         caps=spec.oracle_caps,
@@ -374,23 +377,28 @@ def run_search(spec: SearchSpec) -> SearchSummary:
         cross_check=spec.cross_check,
     )
     if spec.threads > 1 and len(todo) > 1:
-        ctx = get_context("fork")
-        pool = ctx.Pool(spec.threads)
-        try:
-            results = pool.imap(worker, todo, chunksize=max(1, len(todo) // (spec.threads * 8)))
-            records = _drain(results)
-        finally:
+        pool = get_context("fork").Pool(spec.threads)
+        fresh = pool.imap(worker, todo, chunksize=max(1, len(todo) // (spec.threads * 8)))
+    else:
+        pool, fresh = None, map(worker, todo)
+    lines = []
+    try:
+        for record in chain(kept, fresh):
+            if record is None:
+                continue
+            _tally(counts, record)
+            if record["counterexample"]:
+                counterexamples.append(tuple(record["q"]))
+            lines.append(json.dumps(record, separators=(",", ":")))
+    finally:
+        if pool is not None:
             pool.close()
             pool.join()
-    else:
-        records = _drain(map(worker, todo))
-
-    lines = list(kept_lines)
-    for record in records:
-        _tally(counts, record)
-        if record["counterexample"]:
-            counterexamples.append(tuple(record["q"]))
-        lines.append(json.dumps(record, separators=(",", ":")))
+    if not spec.filters and counts["emitted"] != counts["candidates"]:
+        raise InternalInconsistency(
+            f"unfiltered search emitted {counts['emitted']} records for "
+            f"{counts['candidates']} candidates"
+        )
 
     summary = SearchSummary(
         counts=counts, counterexamples=tuple(counterexamples), metadata=metadata
@@ -400,18 +408,8 @@ def run_search(spec: SearchSpec) -> SearchSummary:
         with open(spec.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        import sys
-
         sys.stdout.write(text)
     return summary
-
-
-def _drain(results):
-    out = []
-    for record in results:
-        if record is not None:
-            out.append(record)
-    return out
 
 
 # -- family verifiers --------------------------------------------------------

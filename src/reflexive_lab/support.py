@@ -109,38 +109,30 @@ def solve_positive(system: SupportSystem, bound: int = None) -> SolutionSet:
     boundedness certificate exists the enumeration is cut at `bound`
     (default 50) per coordinate and marked as an unbounded family.
     """
-    k = len(system.parts)
     sol = solve_affine([list(row) for row in system.matrix], list(system.rhs))
     if not sol.consistent:
         raise NoSolution(f"support {system.parts} admits no multiplicity vector")
     key = _order_key(system.parts)
 
-    if not sol.free_columns:
-        x = sol.particular
-        if all(v.denominator == 1 and v >= 1 for v in x):
-            found = [tuple(int(v) for v in x)]
-        else:
-            found = []
-        return SolutionSet(kind="finite", solutions=tuple(sorted(found, key=key)))
-
     certificate = _boundedness_certificate(system)
+    if certificate is None and sol.free_columns:
+        bound = DEFAULT_BOUND if bound is None else bound
+        free_ranges = [range(1, bound + 1) for _ in sol.free_columns]
+        found = sorted(_scan_free(sol, free_ranges, upper=bound), key=key)
+        return SolutionSet(kind="unbounded_family", solutions=tuple(found), bound=bound)
+
+    # With no free column the scan checks the particular solution alone.
+    free_ranges = []
     if certificate is not None:
         weights, total = certificate
         # a . x == total with a strictly positive and x >= 1 bounds each
-        # free coordinate: x_c <= (total - sum_{j != c} a_j) / a_c.
+        # free coordinate: x_c <= (total - sum_{j != c} a_j) / a_c.  A
+        # negative slack leaves every range empty.
         slack = total - sum(weights)
-        if slack < 0:
-            return SolutionSet(kind="finite", solutions=())
-        free_ranges = []
         for c in sol.free_columns:
             free_ranges.append(range(1, 1 + (slack + weights[c]) // weights[c]))
-        found = _scan_free(sol, free_ranges, upper=None)
-        return SolutionSet(kind="finite", solutions=tuple(sorted(found, key=key)))
-
-    bound = DEFAULT_BOUND if bound is None else bound
-    free_ranges = [range(1, bound + 1) for _ in sol.free_columns]
-    found = sorted(_scan_free(sol, free_ranges, upper=bound), key=key)
-    return SolutionSet(kind="unbounded_family", solutions=tuple(found), bound=bound)
+    found = _scan_free(sol, free_ranges, upper=None)
+    return SolutionSet(kind="finite", solutions=tuple(sorted(found, key=key)))
 
 
 def _scan_free(sol, free_ranges, upper):

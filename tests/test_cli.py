@@ -417,6 +417,24 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in err
 
+    def test_resume_without_output(self, capsys):
+        code, _, err = run_cli(capsys, "search", "--n-max", "1", "--resume")
+        assert code == 1
+        assert "resume needs an output file" in err
+
+    def test_resume_of_another_search(self, capsys, tmp_path):
+        out = str(tmp_path / "sweep.jsonl")
+        assert run_cli(capsys, "search", "--n-max", "2", "--max-entry", "5", "--output", out)[0] == 0
+        with open(out, "rb") as fh:
+            before = fh.read()
+        code, _, err = run_cli(
+            capsys, "search", "--n-max", "2", "--max-entry", "6", "--output", out, "--resume"
+        )
+        assert code == 1
+        assert "q = 1,1 is not the next candidate" in err
+        with open(out, "rb") as fh:
+            assert fh.read() == before
+
     def test_bad_filter_name(self, capsys):
         code, _, err = run_cli(capsys, "search", "--filter", "bogus")
         assert code == 1

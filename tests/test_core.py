@@ -6,7 +6,6 @@ from reflexive_lab import (
     HStarPolynomial,
     InvalidQVector,
     QVector,
-    SimplexGeometry,
     format_hstar,
     format_qvector,
     is_reflexive,
@@ -151,15 +150,3 @@ class TestHStarPolynomial:
     def test_volume_is_coefficient_sum(self):
         assert HStarPolynomial((1, 4, 1)).volume() == 6
 
-
-class TestSimplexGeometry:
-    def test_vertices(self):
-        geom = SimplexGeometry.from_qvector(make_qvector([2, 3]))
-        assert geom.vertices == ((1, 0), (0, 1), (-2, -3))
-        assert geom.s_total == 6
-
-    @given(qvectors(max_n=4, max_entry=6))
-    def test_apex_negates_entries(self, q):
-        geom = SimplexGeometry.from_qvector(q)
-        assert geom.vertices[-1] == tuple(-v for v in q.entries)
-        assert len(geom.vertices) == q.n + 1

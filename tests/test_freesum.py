@@ -7,13 +7,13 @@ from reflexive_lab import (
     OracleTooLarge,
     compose,
     decompose,
-    decomposes_by_divisible_support,
     hstar_closed_form,
     idp_check,
     is_reflexive,
     is_unimodal,
     iter_reflexive_qvectors,
     make_qvector,
+    support_of,
 )
 
 SMALL_REFLEXIVE = [q for q in iter_reflexive_qvectors(4, 20) if max(q.entries) <= 6]
@@ -122,34 +122,33 @@ class TestDecompose:
             assert idp_check(p).is_idp
 
 
-class TestDivisibleSupport:
-    def test_simple_case(self):
-        split = decomposes_by_divisible_support(make_qvector([1, 1, 3]))
-        assert split is not None
-        assert split.p.entries == (1, 1)
-        assert split.q.entries == (1,)
-        assert split.s == 3
+def _divisor_chain_split(q):
+    """(head, 1^(x_k), r_k) when the support r_1 < ... < r_k has k >= 2,
+    every part dividing r_k, and r_k == 1 + sum_(i<k) x_i r_i; else None."""
+    sup = support_of(q)
+    r_k = sup.parts[-1]
+    head = tuple(r for r, x in zip(sup.parts[:-1], sup.multiplicities[:-1]) for _ in range(x))
+    if not head or any(r_k % r for r in head) or r_k != 1 + sum(head):
+        return None
+    return head, (1,) * sup.multiplicities[-1], r_k
 
-    def test_large_vector_fails_level_identity(self):
-        # Support (1,3,9,27) has every part dividing 27, but the largest
-        # part is not 1 + the weighted sum of the others, so no split here.
-        y = make_qvector([1, 1, 1, 1, 1, 3, 9, 9, 9, 9, 9, 27])
-        assert decomposes_by_divisible_support(y) is None
 
-    def test_divisibility_hypothesis_violated(self):
-        assert decomposes_by_divisible_support(make_qvector([2, 3])) is None
-
-    def test_single_part_support(self):
-        assert decomposes_by_divisible_support(make_qvector([1, 1, 1])) is None
-
-    @given(st.sampled_from(SMALL_REFLEXIVE))
-    def test_any_reported_split_is_genuine(self, q):
-        split = decomposes_by_divisible_support(q)
-        if split is None:
-            return
-        assert split.y == q
-        assert compose(split.p, split.q).y == q
-        assert any(
-            (s.p, s.q, s.s) == (split.p, split.q, split.s)
-            for s in decompose(q)
-        )
+class TestDivisorChainSplit:
+    def test_lemma_matches_decompose(self):
+        # A split at s = r_k leaves only the copies of r_k outside p, so it
+        # exists exactly when s = 1 + sum(head) = r_k and the head is
+        # reflexive, that is, when every head part divides r_k.
+        big = make_qvector([1] * 5 + [3] + [9] * 5 + [27])  # 27 != 1 + 53
+        applies = 0
+        for q in SMALL_REFLEXIVE + [big]:
+            split = _divisor_chain_split(q)
+            top = [
+                (s.p.entries, s.q.entries, s.s)
+                for s in decompose(q)
+                if s.s == q.entries[-1]
+            ]
+            assert top == ([split] if split else []), q
+            applies += split is not None
+        assert _divisor_chain_split(make_qvector([1, 1, 3])) == ((1, 1), (1,), 3)
+        assert _divisor_chain_split(big) is None
+        assert applies == 12

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from reflexive_lab import (
+    InternalInconsistency,
     OracleCaps,
     SearchSpec,
     evaluate_candidate,
@@ -203,6 +204,49 @@ class TestRunSearch:
         assert summary["candidates"] == len(records)
         lines = [json.loads(line) for line in partial.read_text().splitlines()]
         assert sum(1 for obj in lines if "summary" in obj) == 1
+
+    @pytest.mark.parametrize(
+        "written, resumed, misplaced",
+        [(5, 6, "1,1"), (6, 5, "6")],  # widening, narrowing max-entry
+    )
+    def test_resume_refuses_another_box(self, tmp_path, written, resumed, misplaced):
+        out = tmp_path / "sweep.jsonl"
+        run_search(SearchSpec(n_max=3, max_entry=written, output=str(out)))
+        before = out.read_bytes()
+        with pytest.raises(ValueError, match=f"q = {misplaced} is not the next candidate"):
+            run_search(SearchSpec(n_max=3, max_entry=resumed, output=str(out), resume=True))
+        assert out.read_bytes() == before
+
+    def test_filtered_resume(self, tmp_path):
+        spec = dict(n_max=3, max_entry=6, filters=("reflexive",))
+        full = tmp_path / "full.jsonl"
+        run_search(SearchSpec(output=str(full), **spec))
+        torn = tmp_path / "torn.jsonl"
+        lines = full.read_bytes().splitlines(keepends=True)
+        torn.write_bytes(b"".join(lines[:4]) + lines[4][:20])
+        run_search(SearchSpec(output=str(torn), resume=True, **spec))
+        assert torn.read_bytes() == full.read_bytes()
+        # (1,4,6) is reflexive but not a candidate once entries stop at 5.
+        with pytest.raises(ValueError, match="q = 1,4,6 is"):
+            run_search(SearchSpec(**dict(spec, max_entry=5), output=str(full), resume=True))
+
+    def test_resume_needs_output(self):
+        with pytest.raises(ValueError, match="resume needs an output file"):
+            SearchSpec(resume=True)
+
+    def test_unfiltered_search_must_emit_every_candidate(self, tmp_path, monkeypatch):
+        import reflexive_lab.search as search
+
+        real = search._search_worker
+
+        def lossy(entries, *args, **kwargs):
+            return None if entries == (2,) else real(entries, *args, **kwargs)
+
+        monkeypatch.setattr(search, "_search_worker", lossy)
+        out = tmp_path / "sweep.jsonl"
+        with pytest.raises(InternalInconsistency, match="emitted 8 records for 9"):
+            run_search(SearchSpec(n_max=2, max_entry=3, output=str(out)))
+        assert not out.exists()
 
     def test_cross_check_runs_clean(self, tmp_path):
         out = tmp_path / "checked.jsonl"
