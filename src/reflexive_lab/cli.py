@@ -7,6 +7,7 @@ computation routes disagree — should never happen).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -92,7 +93,10 @@ def _emit(payload: dict, json_mode: bool, text_lines) -> None:
             print(line)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process: parse_args keeps no state
+    between calls, so every `main` call reuses it."""
     parser = _Parser(prog="reflexive-lab", description=__doc__)
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument(

@@ -21,22 +21,27 @@ prefix (h, x_1, ..., x_(n-1)) is fixed, every inequality bounds the last
 coordinate alone, so `_interval` solves the system for x_n as an exact
 integer interval and `_scan` walks a bounding box of prefixes, listing each
 interval.  Small boxes run in plain Python; larger ones run in
-numpy chunks whose leading prefix values stay Python ints and whose trailing
-values are meshgrid columns.  The parallelepiped oracle first checks the
-system against an independently computed integer adjugate of the cone
-matrix.  Nothing here assumes reflexivity.
+numpy chunks of at most `_CHUNK_ROWS` prefixes (or one whole last range,
+if that is longer), whose leading prefix values stay Python ints and whose
+trailing values are meshgrid columns.  The
+parallelepiped oracle first checks the system against an independently
+computed integer adjugate of the cone matrix.  Nothing here assumes
+reflexivity.
+
+numpy is imported inside the scans, so importing the package, and any
+command that runs no numpy scan, does not load it.
 """
 
 from itertools import product
 from math import prod
 
-import numpy as np
-
 from .core import InternalInconsistency, QVector
 from .linalg import integer_adjugate
 
-# Rows per numpy chunk; keeps peak memory around tens of MB.
-_CHUNK_ROWS = 1 << 19
+# Prefixes per numpy chunk.  A chunk's int64 columns then take a few MB at
+# most, and on the acceptance box this was the fastest size measured
+# (2^11 to 2^19 rows).
+_CHUNK_ROWS = 1 << 14
 # Below this many prefix combinations the plain python path is faster.
 _PYTHON_BOX_LIMIT = 2048
 # The dilate frontier is int64 while t * s * s stays below this (2x headroom).
@@ -48,6 +53,8 @@ def _prefix_chunks(ranges):
 
     The last range is always a trailing column, so every chunk is vectorized.
     """
+    import numpy as np
+
     split = len(ranges) - 1
     rows = len(ranges[split])
     while split > 0 and rows * len(ranges[split - 1]) <= _CHUNK_ROWS:
@@ -68,8 +75,12 @@ def _interval(q, s, prefix):
     int64 columns (then lo and hi are columns too).  Every s * lam_j lies in
     [0, s - 1].
     """
-    vectorized = isinstance(prefix[-1], np.ndarray)
-    most, least = (np.maximum, np.minimum) if vectorized else (max, min)
+    if isinstance(prefix[-1], int):
+        most, least = max, min
+    else:
+        import numpy as np
+
+        most, least = np.maximum, np.minimum
     # rest = h - sum(prefix x); the final a is rest - x_n.
     rest = prefix[0]
     a_lo, a_hi = 0, s - 1  # bounds on a from lam_0, ..., lam_(n-1)
@@ -96,6 +107,8 @@ def _scan(q, prefix_ranges):
                 continue
             points.extend(prefix + (x,) for x in range(lo, hi + 1))
         return points
+    import numpy as np
+
     for lead, trailing in _prefix_chunks(prefix_ranges):
         lo, hi = _interval(q, s, (*lead, *trailing))
         reps = np.maximum(hi - lo + 1, 0)
@@ -131,6 +144,8 @@ def _dilate_scan(q, t, count_only):
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
+    import numpy as np
+
     s = 1 + sum(q)
     # Every value below is at most t * s * s in magnitude, since the points
     # of t * Delta have -t * q_i <= x_i <= t; past int64, use Python ints.

@@ -12,7 +12,6 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from multiprocessing import get_context
 
 from .core import (
     InternalInconsistency,
@@ -37,6 +36,26 @@ from .idp import idp_check, idp_oracle_bruteforce, necessary_condition
 from .support import build_system, expand_solution, solve_positive
 
 FILTER_NAMES = ("reflexive", "necessary", "idp", "non_unimodal", "indecomposable")
+
+
+def _rejects(filters, name, **fields) -> bool:
+    """Whether filter `name` is on and drops a record with these fields.
+
+    One predicate per FILTER_NAMES entry, over the record's JSONL fields:
+    evaluate_candidate asks as soon as a field is known, and --resume asks
+    about every kept record.
+    """
+    if name not in filters:
+        return False
+    if name == "reflexive":
+        return not fields["reflexive"]
+    if name == "necessary":
+        return not fields["necessary"]
+    if name == "idp":
+        return fields["idp"] is not True
+    if name == "non_unimodal":
+        return fields["unimodal"] is not False
+    return fields["free_sum_splits"] != 0  # indecomposable
 
 
 @dataclass(frozen=True)
@@ -151,10 +170,10 @@ def evaluate_candidate(
     caps = oracle_caps or EHRHART_ORACLE_CAPS
 
     reflexive = is_reflexive(q)
-    if "reflexive" in filters and not reflexive:
+    if _rejects(filters, "reflexive", reflexive=reflexive):
         return None
     necessary = necessary_condition(q)
-    if "necessary" in filters and not necessary:
+    if _rejects(filters, "necessary", necessary=necessary):
         return None
 
     hstar = symmetric = unimodal = None
@@ -172,7 +191,7 @@ def evaluate_candidate(
             raise InternalInconsistency(f"reflexive q = {q} with asymmetric h*")
         if not reflexive and symmetric:
             raise InternalInconsistency(f"non-reflexive q = {q} with symmetric h*")
-    if "non_unimodal" in filters and unimodal is not False:
+    if _rejects(filters, "non_unimodal", unimodal=unimodal):
         return None
 
     idp = witness = None
@@ -182,11 +201,11 @@ def evaluate_candidate(
         witness = res.witness
         if idp and not necessary:
             raise InternalInconsistency(f"IDP q = {q} failing the necessary condition")
-    if "idp" in filters and idp is not True:
+    if _rejects(filters, "idp", idp=idp):
         return None
 
     free_sum_splits = len(decompose(q)) if reflexive else 0
-    if "indecomposable" in filters and free_sum_splits != 0:
+    if _rejects(filters, "indecomposable", free_sum_splits=free_sum_splits):
         return None
 
     counterexample = bool(reflexive and idp is True and unimodal is False)
@@ -322,14 +341,14 @@ def _candidates_for(spec: SearchSpec):
     return list(iter_qvectors(spec.n_min, spec.n_max, spec.max_entry)), metadata
 
 
-def _load_resume_state(path, candidates, filtered):
+def _load_resume_state(path, candidates, filters):
     """Completed records of an interrupted run, and the candidate index to
     restart at.
 
     The records' q must be the first candidates in order or, when filters
-    drop records, candidates in strictly increasing canonical position;
-    otherwise the file belongs to another search and ValueError is raised
-    before anything is written.
+    drop records, candidates in strictly increasing canonical position, and
+    every record must pass the filters; otherwise the file belongs to another
+    search and ValueError is raised before anything is written.
     """
     if not os.path.exists(path):
         return [], 0
@@ -347,7 +366,13 @@ def _load_resume_state(path, candidates, filtered):
     start = 0
     for record in kept:
         q = tuple(record["q"])
-        if filtered:
+        for name in filters:
+            if _rejects(filters, name, **record):
+                raise ValueError(
+                    f"cannot resume {path}: its record q = {','.join(map(str, q))} "
+                    f"fails the {name} filter of this search"
+                )
+        if filters:
             while start < len(candidates) and candidates[start].entries != q:
                 start += 1
         if start == len(candidates) or candidates[start].entries != q:
@@ -368,7 +393,7 @@ def run_search(spec: SearchSpec) -> SearchSummary:
 
     kept, start = [], 0
     if spec.resume:
-        kept, start = _load_resume_state(spec.output, candidates, bool(spec.filters))
+        kept, start = _load_resume_state(spec.output, candidates, spec.filters)
     todo = [q.entries for q in candidates[start:]]
     worker = partial(
         _search_worker,
@@ -377,6 +402,8 @@ def run_search(spec: SearchSpec) -> SearchSummary:
         cross_check=spec.cross_check,
     )
     if spec.threads > 1 and len(todo) > 1:
+        from multiprocessing import get_context  # only a pooled sweep loads it
+
         pool = get_context("fork").Pool(spec.threads)
         fresh = pool.imap(worker, todo, chunksize=max(1, len(todo) // (spec.threads * 8)))
     else:

@@ -15,7 +15,7 @@ from reflexive_lab import (
     make_qvector,
     reflexive_family,
 )
-from reflexive_lab.cli import main
+from reflexive_lab.cli import build_parser, main
 from reflexive_lab.idp import IdpOracleResult
 
 FLAGSHIP = "3,20,24,24,24,24"
@@ -435,6 +435,20 @@ class TestErrorHandling:
         with open(out, "rb") as fh:
             assert fh.read() == before
 
+    def test_resume_keeps_no_record_the_filters_drop(self, capsys, tmp_path):
+        out = str(tmp_path / "sweep.jsonl")
+        argv = ("search", "--n-max", "3", "--max-entry", "4", "--output", out)
+        assert run_cli(capsys, *argv)[0] == 0
+        with open(out, "rb") as fh:
+            head = b"".join(fh.read().splitlines(keepends=True)[:10])
+        with open(out, "wb") as fh:
+            fh.write(head)
+        code, _, err = run_cli(capsys, *argv, "--filter", "reflexive", "--resume")
+        assert code == 1
+        assert "q = 2 fails the reflexive filter" in err
+        with open(out, "rb") as fh:
+            assert fh.read() == head
+
     def test_bad_filter_name(self, capsys):
         code, _, err = run_cli(capsys, "search", "--filter", "bogus")
         assert code == 1
@@ -455,16 +469,100 @@ class TestErrorHandling:
         assert json.loads(out)["code"] == "oracle_too_large"
 
 
-def run_module(*argv):
-    """`python -m reflexive_lab` in a child that imports this same package."""
+def emitted_every_candidate(out):
+    *records, summary = [json.loads(line) for line in out.splitlines()]
+    return len(records) == summary["summary"]["candidates"]
+
+
+class TestParserReuse:
+    """`main` reuses one parser; no call may see state from an earlier one."""
+
+    @pytest.mark.parametrize(
+        "first, second, expect",
+        [
+            (
+                ("check", "--q", "2,3,6", "--oracle", "--json"),
+                ("check", "--q", "2,3,6", "--json"),
+                lambda out: "oracle" not in json.loads(out),
+            ),
+            (
+                ("search", "--n-max", "2", "--max-entry", "3", "--filter", "idp"),
+                ("search", "--n-max", "2", "--max-entry", "3"),
+                emitted_every_candidate,
+            ),
+            (("hstar", "--q", "2,3", "--oracle-caps", "7"), ("hstar", "--q", "2,3"), bool),
+            (("check",), ("check", "--q", "2,3"), bool),
+        ],
+        ids=["oracle_then_plain", "filter_then_unfiltered", "bad_caps_then_valid", "usage_then_valid"],
+    )
+    def test_second_call_matches_a_fresh_parser(self, capsys, first, second, expect):
+        build_parser.cache_clear()
+        reference = run_cli(capsys, *second)
+        assert reference[0] == 0 and expect(reference[1])
+        run_cli(capsys, *first)
+        assert run_cli(capsys, *second) == reference
+
+
+def child_env():
+    """The environment of a child interpreter that imports this same package."""
     src = os.path.dirname(os.path.dirname(reflexive_lab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_module(*argv):
+    """`python -m reflexive_lab` in a child that imports this same package."""
     return subprocess.run(
         [sys.executable, "-m", "reflexive_lab", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
     )
+
+
+COLD_START = """
+import contextlib, io, json, sys
+import reflexive_lab
+import reflexive_lab.cli as cli
+
+built = 0
+init = cli._Parser.__init__
+
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+
+cli._Parser.__init__ = counting_init
+
+def loaded():
+    return [name for name in ("numpy", "multiprocessing") if name in sys.modules]
+
+out = {"import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = [cli.main(["check", "--q", "2,3,6"])]
+    out["check"] = loaded()
+    first = built
+    rc += [cli.main(["check", "--q", "2,3,6"]) for _ in range(3)]
+    rc.append(cli.main(["check", "--q", "2,3,6", "--oracle"]))
+out.update(oracle=loaded(), rc=rc, first=first, built=built)
+print(json.dumps(out))
+"""
+
+
+class TestColdStart:
+    def test_only_a_lattice_scan_loads_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["import"] == out["check"] == []
+        assert out["oracle"] == ["numpy"]
+        assert out["rc"] == [0] * 5
+        # The parser tree is built by the first call and reused after it.
+        assert out["first"] > 0
+        assert out["built"] == out["first"]
 
 
 class TestModuleEntryPoint:

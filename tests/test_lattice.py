@@ -161,12 +161,35 @@ class TestFundamentalParallelepiped:
         ]
         assert zero_height == [(0,) * (q.n + 1)]
 
-    def test_numpy_path_matches_python_path(self):
-        # Large enough that the prefix box exceeds the pure-python limit.
+    def test_numpy_path_matches_python_path(self, monkeypatch):
+        # The prefix box (5 * 11 * 12 * 13 prefixes) exceeds the pure-python
+        # limit, so the default run takes the numpy chunks.
         q = make_qvector([9, 10, 11, 12])
+        assert 5 * 11 * 12 * 13 > lattice._PYTHON_BOX_LIMIT
         points = fundamental_parallelepiped_points(q)
         assert len(points) == normalized_volume(q) == 43
         assert points == sorted(points)
+        monkeypatch.setattr(lattice, "_PYTHON_BOX_LIMIT", 10**9)
+        assert fundamental_parallelepiped_points(q) == points
+
+    @pytest.mark.parametrize(
+        "raw",
+        [[1], [4], [2, 3], [1, 5], [1, 1, 3], [2, 3, 5], [3, 4, 5, 6], [1, 2, 2, 6],
+         # the largest oracle_check box: 6 * 7 * 10 * 10 * 10 = 42,000 prefixes
+         [5, 8, 8, 8, 10],
+         # a non-reflexive q of the acceptance box (n <= 5, entries <= 12)
+         [9, 10, 11, 12, 12]],
+    )
+    def test_chunk_size_does_not_change_the_points(self, monkeypatch, raw):
+        # One prefix per chunk, and the whole box in one chunk, must list the
+        # same points in the same order as the plain python scan.
+        q = make_qvector(raw)
+        monkeypatch.setattr(lattice, "_PYTHON_BOX_LIMIT", 10**9)
+        expected = fundamental_parallelepiped_points(q)
+        monkeypatch.setattr(lattice, "_PYTHON_BOX_LIMIT", 0)
+        for rows in (1, 2**30):
+            monkeypatch.setattr(lattice, "_CHUNK_ROWS", rows)
+            assert fundamental_parallelepiped_points(q) == expected
 
     @pytest.mark.parametrize(
         "raw, perturb",

@@ -230,6 +230,20 @@ class TestRunSearch:
         with pytest.raises(ValueError, match="q = 1,4,6 is"):
             run_search(SearchSpec(**dict(spec, max_entry=5), output=str(full), resume=True))
 
+    @pytest.mark.parametrize("name", ["reflexive", "idp"])
+    def test_resume_refuses_records_the_filters_drop(self, tmp_path, name):
+        # The first 10 unfiltered records sit at increasing canonical
+        # positions, so only the filters themselves can tell them apart.
+        out = tmp_path / "sweep.jsonl"
+        run_search(SearchSpec(n_max=3, max_entry=4, output=str(out)))
+        out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:10]))
+        before = out.read_bytes()
+        with pytest.raises(ValueError, match=f"q = 2 fails the {name} filter"):
+            run_search(
+                SearchSpec(n_max=3, max_entry=4, filters=(name,), output=str(out), resume=True)
+            )
+        assert out.read_bytes() == before
+
     def test_resume_needs_output(self):
         with pytest.raises(ValueError, match="resume needs an output file"):
             SearchSpec(resume=True)
