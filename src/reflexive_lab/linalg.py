@@ -39,7 +39,9 @@ def rref(rows):
         for i in range(nrows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                # Zero pivot-row entries leave a unchanged; the [M | I]
+                # blocks of integer_adjugate are mostly zeros.
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -405,7 +405,9 @@ def run_search(spec: SearchSpec) -> SearchSummary:
         from multiprocessing import get_context  # only a pooled sweep loads it
 
         pool = get_context("fork").Pool(spec.threads)
-        fresh = pool.imap(worker, todo, chunksize=max(1, len(todo) // (spec.threads * 8)))
+        # Candidates get costlier along the canonical order, so the last
+        # chunks are the largest; 64 chunks per worker keep that tail short.
+        fresh = pool.imap(worker, todo, chunksize=max(1, len(todo) // (spec.threads * 64)))
     else:
         pool, fresh = None, map(worker, todo)
     lines = []
