@@ -54,8 +54,8 @@ def decompose(y: QVector) -> list:
         raise NotReflexive(f"y = {y} is not reflexive")
     if y.n > DECOMPOSE_DIMENSION_CAP:
         raise OracleTooLarge(
-            f"decompose scans sub-multisets; dimension {y.n} exceeds "
-            f"{DECOMPOSE_DIMENSION_CAP}"
+            f"free-sum decompose of q = {y}: it scans sub-multisets, and "
+            f"dimension {y.n} exceeds {DECOMPOSE_DIMENSION_CAP}"
         )
     sup = support_of(y)
     splits = []

@@ -1,8 +1,7 @@
 """Exact rational linear algebra over fractions.Fraction.
 
 Small dense systems only (k <= 8 or so): one Gauss-Jordan elimination with
-determinant tracking, behind an affine solve with kernel basis and an
-integer adjugate.
+determinant tracking, behind an affine solve and an integer adjugate.
 """
 
 from dataclasses import dataclass
@@ -51,35 +50,24 @@ def rref(rows):
 
 @dataclass(frozen=True)
 class AffineSolution:
-    """Solution set of A x = b: x = particular + span(kernel_basis)."""
+    """Whether A x = b has a rational solution, and one if it has."""
 
     consistent: bool
     particular: tuple  # Fractions, free coordinates set to 0; () if inconsistent
-    kernel_basis: tuple  # tuple of Fraction tuples, one per free column
-    free_columns: tuple
 
 
 def solve_affine(a_rows, b) -> AffineSolution:
     ncols = len(a_rows[0])
     aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
     red, pivots, _ = rref(aug)
-    pivots = [c for c in pivots if c < ncols]
     # Inconsistent iff some reduced row is (0 ... 0 | nonzero).
     for row in red:
         if all(v == 0 for v in row[:ncols]) and row[ncols] != 0:
-            return AffineSolution(False, (), (), ())
-    free = [c for c in range(ncols) if c not in pivots]
+            return AffineSolution(False, ())
     particular = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
+    for r, c in enumerate(pivots):  # consistent: no pivot in column b
         particular[c] = red[r][ncols]
-    kernel = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][fc]
-        kernel.append(tuple(v))
-    return AffineSolution(True, tuple(particular), tuple(kernel), tuple(free))
+    return AffineSolution(True, tuple(particular))
 
 
 def integer_adjugate(rows):

@@ -9,9 +9,9 @@ across --threads settings.  Wall-clock timings never enter the wire format.
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 
 from .core import (
     InternalInconsistency,
@@ -119,18 +119,8 @@ class CandidateReport:
 
 def iter_qvectors(n_min: int, n_max: int, max_entry: int):
     """Weakly increasing vectors ordered by dimension, then lexicographically."""
-
-    def rec(prefix, low, remaining):
-        if remaining == 0:
-            yield QVector(tuple(prefix))
-            return
-        for v in range(low, max_entry + 1):
-            prefix.append(v)
-            yield from rec(prefix, v, remaining - 1)
-            prefix.pop()
-
     for n in range(n_min, n_max + 1):
-        yield from rec([], 1, n)
+        yield from map(QVector, combinations_with_replacement(range(1, max_entry + 1), n))
 
 
 def iter_reflexive_qvectors(n_max: int, sum_max: int):
@@ -348,21 +338,28 @@ def _load_resume_state(path, candidates, filters):
     The records' q must be the first candidates in order or, when filters
     drop records, candidates in strictly increasing canonical position, and
     every record must pass the filters; otherwise the file belongs to another
-    search and ValueError is raised before anything is written.
+    search and ValueError is raised before anything is written.  So is it
+    for a line that is JSON but not an object holding every CandidateReport
+    field, which covers all that the filters and the tally read.
     """
     if not os.path.exists(path):
         return [], 0
+    needed = {f.name for f in fields(CandidateReport)}
     kept = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 break  # torn tail from the interruption
-            if "summary" not in obj:  # a stale summary is rewritten at the end
-                kept.append(obj)
+            is_object = isinstance(obj, dict)
+            if is_object and "summary" in obj:  # a stale summary is rewritten at the end
+                continue
+            if not (is_object and needed <= obj.keys() and isinstance(obj["q"], list)):
+                raise ValueError(f"cannot resume {path}: line {lineno} is not a search record")
+            kept.append(obj)
     start = 0
     for record in kept:
         q = tuple(record["q"])

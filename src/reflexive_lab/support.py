@@ -8,16 +8,21 @@ Writing x_i for the multiplicity of r_i, the condition at part j reads
                                                 r_i mod r_j     if i > j.
 
 Positive integer solutions x correspond exactly to q-vectors with support r
-passing the necessary condition.  The solution set is finite whenever some
-r_i with i < k does not divide r_k (the sum of rows k and i of R is then a
-strictly positive vector constant on the solution space); in the all-divisors
-case the family can be infinite and is enumerated up to a bound.
+passing the necessary condition.
+
+Row k has R[k][i] = r_i for i < k and R[k][k] = 0, so it reads
+sum_{i<k} r_i x_i = r_k - 1: the head (x_1, ..., x_{k-1}) is a weighted
+composition of r_k - 1 over (r_1, ..., r_{k-1}) with every x_i >= 1, and
+there are finitely many.  Column k holds r_k mod r_j in row j < k, so x_k
+enters only the rows j with r_j not dividing r_k.  The first such row, the
+pin row, fixes x_k = (r_j - 1 - sum_{i<k} R[j][i] x_i) / (r_k mod r_j) for
+each head, and the family is finite.  When every part divides r_k, column k
+is zero, x_k is free, and the family is enumerated up to a bound.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 from .core import GcdNotOne, InvalidRVector, NoSolution, QVector, make_qvector
 from .linalg import solve_affine
@@ -67,7 +72,7 @@ class SolutionSet:
     """Multiplicity vectors ordered by ascending sum(x_i r_i), then lex.
 
     kind == "finite": `solutions` is the complete list.
-    kind == "unbounded_family": `solutions` is the slice with every free
+    kind == "unbounded_family": `solutions` is the slice with every
     coordinate at most `bound`.
     """
 
@@ -76,81 +81,40 @@ class SolutionSet:
     bound: int = None
 
 
-def _boundedness_certificate(system: SupportSystem):
-    """A strictly positive vector in the row space, or None.
-
-    Rows k and i of the matrix sum to a strictly positive vector exactly when
-    r_i does not divide r_k; the certificate value on solutions is the
-    matching sum of right-hand sides.
-    """
-    k = len(system.parts)
-    if k < 2:
-        return None
-    last = system.matrix[k - 1]
-    for i in range(k - 1):
-        if system.parts[k - 1] % system.parts[i] != 0:
-            cand = tuple(a + b for a, b in zip(last, system.matrix[i]))
-            if all(v > 0 for v in cand):
-                return cand, system.rhs[k - 1] + system.rhs[i]
-    return None
-
-
-def _order_key(parts):
-    def key(x):
-        return (sum(v * r for v, r in zip(x, parts)), x)
-
-    return key
-
-
 def solve_positive(system: SupportSystem, bound: int = None) -> SolutionSet:
     """All positive integer solutions of the support system.
 
-    Raises NoSolution if the rational system is inconsistent.  When no
-    boundedness certificate exists the enumeration is cut at `bound`
-    (default 50) per coordinate and marked as an unbounded family.
+    Raises NoSolution if the rational system is inconsistent.  Without a pin
+    row x_k runs over 1..bound (default 50), every coordinate is cut at
+    `bound`, and the result is marked as an unbounded family.
     """
-    sol = solve_affine([list(row) for row in system.matrix], list(system.rhs))
-    if not sol.consistent:
+    rows, rhs = system.matrix, system.rhs
+    if not solve_affine([list(row) for row in rows], list(rhs)).consistent:
         raise NoSolution(f"support {system.parts} admits no multiplicity vector")
-    key = _order_key(system.parts)
-
-    certificate = _boundedness_certificate(system)
-    if certificate is None and sol.free_columns:
+    *head_parts, last = system.parts
+    pin = next((j for j, r in enumerate(head_parts) if last % r), None)
+    if pin is None:
         bound = DEFAULT_BOUND if bound is None else bound
-        free_ranges = [range(1, bound + 1) for _ in sol.free_columns]
-        found = sorted(_scan_free(sol, free_ranges, upper=bound), key=key)
+    if head_parts:
+        heads = _compositions_with_weights(last - 1, head_parts)
+    else:
+        heads = [()] if last == 1 else []
+    found = []
+    for head in heads:
+        if pin is not None:
+            slack = rhs[pin] - sum(map(mul, rows[pin], head))
+            step = last % head_parts[pin]
+            tails = [slack // step] if slack > 0 and slack % step == 0 else []
+        else:
+            tails = range(1, bound + 1) if all(v <= bound for v in head) else []
+        for tail in tails:
+            x = head + (tail,)
+            if all(sum(map(mul, row, x)) == b for row, b in zip(rows, rhs)):
+                found.append(x)
+    found.sort(key=lambda x: (sum(v * r for v, r in zip(x, system.parts)), x))
+    if pin is None:
         return SolutionSet(kind="unbounded_family", solutions=tuple(found), bound=bound)
-
-    # With no free column the scan checks the particular solution alone.
-    free_ranges = []
-    if certificate is not None:
-        weights, total = certificate
-        # a . x == total with a strictly positive and x >= 1 bounds each
-        # free coordinate: x_c <= (total - sum_{j != c} a_j) / a_c.  A
-        # negative slack leaves every range empty.
-        slack = total - sum(weights)
-        for c in sol.free_columns:
-            free_ranges.append(range(1, 1 + (slack + weights[c]) // weights[c]))
-    found = _scan_free(sol, free_ranges, upper=None)
-    return SolutionSet(kind="finite", solutions=tuple(sorted(found, key=key)))
-
-
-def _scan_free(sol, free_ranges, upper):
-    """Integer points of the affine solution space over given free ranges."""
-    out = []
-    for assignment in product(*free_ranges):
-        x = list(sol.particular)
-        for value, basis in zip(assignment, sol.kernel_basis):
-            if value:
-                x = [a + value * b for a, b in zip(x, basis)]
-        ok = True
-        for v in x:
-            if v.denominator != 1 or v < 1 or (upper is not None and v > upper):
-                ok = False
-                break
-        if ok:
-            out.append(tuple(int(v) for v in x))
-    return out
+    return SolutionSet(kind="finite", solutions=tuple(found))
 
 
 def expand_solution(system: SupportSystem, x) -> QVector:

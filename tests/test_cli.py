@@ -449,6 +449,26 @@ class TestErrorHandling:
         with open(out, "rb") as fh:
             assert fh.read() == head
 
+    @pytest.mark.parametrize("filters", [(), ("--filter", "idp")])
+    @pytest.mark.parametrize("line", ['{"foo":1}', "[1,2]", '{"q":[1]}'])
+    def test_resume_refuses_a_line_that_is_no_record(self, capsys, tmp_path, line, filters):
+        out = tmp_path / "sweep.jsonl"
+        out.write_text(line + "\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "search", "--n-max", "2", "--max-entry", "2", *filters,
+            "--resume", "--output", str(out),
+        )
+        assert code == 1
+        assert "line 1 is not a search record" in err
+        assert out.read_text(encoding="utf-8") == line + "\n"
+
+    def test_decompose_cap_names_the_q(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "--r", "1,3", "--json")
+        payload = json.loads(out.splitlines()[-1])
+        assert code == 1
+        assert payload["code"] == "oracle_too_large"
+        assert "decompose of q = " + ",".join(["1", "1"] + ["3"] * 19) in payload["message"]
+
     def test_bad_filter_name(self, capsys):
         code, _, err = run_cli(capsys, "search", "--filter", "bogus")
         assert code == 1

@@ -1,3 +1,6 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from reflexive_lab import (
     solve_positive,
     support_of,
 )
+from reflexive_lab.support import DEFAULT_BOUND
 
 
 def r_vectors(max_k=3, max_part=12):
@@ -155,6 +159,44 @@ class TestSolvePositive:
             (sum(v * p for v, p in zip(x, r)), x) for x in solved.solutions
         ]
         assert keys == sorted(keys)
+
+
+def _brute_force_solutions(system, box):
+    """Every x in [1..box]^k with R x = r - 1, by ascending (sum x_i r_i, x)."""
+    axes = np.meshgrid(*[np.arange(1, box + 1)] * len(system.parts), indexing="ij")
+    points = np.stack(axes, axis=-1).reshape(-1, len(system.parts))
+    hits = (points @ np.array(system.matrix).T == np.array(system.rhs)).all(axis=1)
+    found = [tuple(int(v) for v in x) for x in points[hits]]
+    return sorted(found, key=lambda x: (sum(v * r for v, r in zip(x, system.parts)), x))
+
+
+class TestSolvePositiveAgainstBruteForce:
+    @pytest.mark.parametrize("bound", [None, 1, 2, 3, 4, 5, 6])
+    def test_every_small_support(self, bound):
+        """solve_positive matches a box filter on every support with k <= 3
+        and parts <= 12.
+
+        An unbounded family is the slice with every coordinate at most the
+        bound, so the box side is the bound.  A finite family fits in
+        [1..r_k]^k: row k reads sum_{i<k} r_i x_i = r_k - 1 with every
+        x_i >= 1, so x_i <= r_k - 1 for i < k, and a pin row j (r_j not
+        dividing r_k) reads (r_k mod r_j) x_k + (nonnegative terms) = r_j - 1,
+        so x_k <= r_j - 1 < r_k.  NoSolution must leave the box empty.
+        """
+        for k in (1, 2, 3):
+            for r in combinations(range(1, 13), k):
+                system = build_system(r)
+                unbounded = all(r[-1] % v == 0 for v in r)
+                box = (DEFAULT_BOUND if bound is None else bound) if unbounded else r[-1]
+                expected = _brute_force_solutions(system, box)
+                try:
+                    solved = solve_positive(system, bound=bound)
+                except NoSolution:
+                    assert expected == [], r
+                    continue
+                assert (solved.kind == "unbounded_family") == unbounded, r
+                assert solved.bound == (box if unbounded else None), r
+                assert list(solved.solutions) == expected, r
 
 
 class TestReflexiveFamily:
