@@ -50,10 +50,11 @@ def rref(rows):
 
 @dataclass(frozen=True)
 class AffineSolution:
-    """Whether A x = b has a rational solution, and one if it has."""
+    """Whether A x = b has a rational solution, one if so, and if it is unique."""
 
     consistent: bool
     particular: tuple  # Fractions, free coordinates set to 0; () if inconsistent
+    unique: bool  # every column of A holds a pivot
 
 
 def solve_affine(a_rows, b) -> AffineSolution:
@@ -63,11 +64,11 @@ def solve_affine(a_rows, b) -> AffineSolution:
     # Inconsistent iff some reduced row is (0 ... 0 | nonzero).
     for row in red:
         if all(v == 0 for v in row[:ncols]) and row[ncols] != 0:
-            return AffineSolution(False, ())
+            return AffineSolution(False, (), False)
     particular = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):  # consistent: no pivot in column b
         particular[c] = red[r][ncols]
-    return AffineSolution(True, tuple(particular))
+    return AffineSolution(True, tuple(particular), len(pivots) == ncols)
 
 
 def integer_adjugate(rows):

@@ -9,7 +9,7 @@ across --threads settings.  Wall-clock timings never enter the wire format.
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import partial
 from itertools import chain, combinations_with_replacement
 
@@ -344,7 +344,7 @@ def _load_resume_state(path, candidates, filters):
     """
     if not os.path.exists(path):
         return [], 0
-    needed = {f.name for f in fields(CandidateReport)}
+    needed = {f.name for f in dataclass_fields(CandidateReport)}
     kept = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):

@@ -11,13 +11,17 @@ Positive integer solutions x correspond exactly to q-vectors with support r
 passing the necessary condition.
 
 Row k has R[k][i] = r_i for i < k and R[k][k] = 0, so it reads
-sum_{i<k} r_i x_i = r_k - 1: the head (x_1, ..., x_{k-1}) is a weighted
-composition of r_k - 1 over (r_1, ..., r_{k-1}) with every x_i >= 1, and
-there are finitely many.  Column k holds r_k mod r_j in row j < k, so x_k
-enters only the rows j with r_j not dividing r_k.  The first such row, the
-pin row, fixes x_k = (r_j - 1 - sum_{i<k} R[j][i] x_i) / (r_k mod r_j) for
-each head, and the family is finite.  When every part divides r_k, column k
-is zero, x_k is free, and the family is enumerated up to a bound.
+sum_{i<k} r_i x_i = r_k - 1: each x_i with i < k is at most r_k - 1, and
+x_(k-1) is fixed by the others.  Column k holds r_k mod r_j in row j < k, so
+x_k enters only the rows j with r_j not dividing r_k.  The first such row,
+the pin row, bounds x_k, and the family is finite.  When every part divides
+r_k, column k is zero, x_k is free, and the family is enumerated up to a
+bound.
+
+A nonsingular system has a single rational solution, which is checked
+alone.  Otherwise the coordinates are walked under every row at once: R is
+nonnegative, so each row bounds the coordinates it holds, and a row with
+one coordinate left open fixes it.
 """
 
 from dataclasses import dataclass
@@ -85,36 +89,81 @@ def solve_positive(system: SupportSystem, bound: int = None) -> SolutionSet:
     """All positive integer solutions of the support system.
 
     Raises NoSolution if the rational system is inconsistent.  Without a pin
-    row x_k runs over 1..bound (default 50), every coordinate is cut at
-    `bound`, and the result is marked as an unbounded family.
+    row every coordinate is cut at `bound` (default 50) and the result is
+    marked as an unbounded family.
     """
     rows, rhs = system.matrix, system.rhs
-    if not solve_affine([list(row) for row in rows], list(rhs)).consistent:
+    sol = solve_affine([list(row) for row in rows], list(rhs))
+    if not sol.consistent:
         raise NoSolution(f"support {system.parts} admits no multiplicity vector")
     *head_parts, last = system.parts
-    pin = next((j for j, r in enumerate(head_parts) if last % r), None)
-    if pin is None:
+    pinned = any(last % r for r in head_parts)
+    if not pinned:
         bound = DEFAULT_BOUND if bound is None else bound
-    if head_parts:
-        heads = _compositions_with_weights(last - 1, head_parts)
+    if sol.unique:  # then column k is nonzero, so `pinned` holds
+        x = sol.particular
+        whole = all(v.denominator == 1 and v >= 1 for v in x)
+        found = [tuple(map(int, x))] if whole else []
     else:
-        heads = [()] if last == 1 else []
+        found = _positive_points(rows, rhs, cap=None if pinned else bound)
+    found.sort(key=lambda x: (sum(map(mul, x, system.parts)), x))
+    if pinned:
+        return SolutionSet(kind="finite", solutions=tuple(found))
+    return SolutionSet(kind="unbounded_family", solutions=tuple(found), bound=bound)
+
+
+def _positive_points(rows, rhs, cap):
+    """Every x >= 1 with R x = rhs, unordered; x_i <= cap if cap is set.
+
+    R is nonnegative, so with the coordinates still open at their least
+    value 1 no row may exceed its right-hand side: room[j] is what row j
+    has left, and x_i can exceed 1 by at most room[j] // R[j][i] in each row
+    j with R[j][i] > 0.  The walk fixes the coordinates with the least such
+    reach first, and a row whose last open positive entry is x_i fixes x_i
+    outright.
+    """
+    k = len(rows)
+    room = [b - sum(row) for row, b in zip(rows, rhs)]
+    if min(room) < 0:
+        return []
+
+    def reach(i):
+        bounds = [room[j] // row[i] for j, row in enumerate(rows) if row[i]]
+        return min(bounds, default=cap)
+
+    order = sorted(range(k), key=reach)
+    column = [[(j, rows[j][i]) for j in range(k) if rows[j][i]] for i in order]
+    closing = [
+        next((j for j, _ in col if not any(rows[j][i] for i in order[t + 1 :])), None)
+        for t, col in enumerate(column)
+    ]
     found = []
-    for head in heads:
-        if pin is not None:
-            slack = rhs[pin] - sum(map(mul, rows[pin], head))
-            step = last % head_parts[pin]
-            tails = [slack // step] if slack > 0 and slack % step == 0 else []
-        else:
-            tails = range(1, bound + 1) if all(v <= bound for v in head) else []
-        for tail in tails:
-            x = head + (tail,)
-            if all(sum(map(mul, row, x)) == b for row, b in zip(rows, rhs)):
-                found.append(x)
-    found.sort(key=lambda x: (sum(v * r for v, r in zip(x, system.parts)), x))
-    if pin is None:
-        return SolutionSet(kind="unbounded_family", solutions=tuple(found), bound=bound)
-    return SolutionSet(kind="finite", solutions=tuple(found))
+
+    def rec(t, x, room):
+        if t == k:
+            if not any(room):
+                found.append(tuple(v for _, v in sorted(zip(order, x))))
+            return
+        j = closing[t]
+        if j is not None:
+            extra, off = divmod(room[j], rows[j][order[t]])
+            extras = [] if off else [extra]
+        elif column[t]:
+            extras = range(1 + min(room[j] // a for j, a in column[t]))
+        else:  # x_k when every part divides r_k
+            extras = range(cap)
+        for e in extras:
+            if cap is not None and e >= cap:
+                break
+            left = list(room)
+            for j, a in column[t]:
+                left[j] -= a * e
+            if min(left) < 0:
+                break
+            rec(t + 1, x + (1 + e,), left)
+
+    rec(0, (), room)
+    return found
 
 
 def expand_solution(system: SupportSystem, x) -> QVector:

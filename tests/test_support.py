@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import numpy as np
@@ -197,6 +198,36 @@ class TestSolvePositiveAgainstBruteForce:
                 assert (solved.kind == "unbounded_family") == unbounded, r
                 assert solved.bound == (box if unbounded else None), r
                 assert list(solved.solutions) == expected, r
+
+
+class TestSolvePositiveLargeParts:
+    @pytest.mark.parametrize(
+        "r, expected",
+        [
+            ((2, 3, 5, 100003), ()),  # nonsingular, det -40
+            ((2, 3, 5, 7, 100003), ()),  # nonsingular
+            ((2, 3, 12, 100062), ((1, 1, 8338, 1),)),  # nonsingular
+            ((1, 2, 8, 100028), ((1, 1, 12503, 1),)),  # rank 3
+            ((1, 2, 12, 100036), ((1, 1, 8336, 2),)),  # rank 3
+            ((1, 2, 10, 11, 1208), ()),  # rank 4
+            ((1, 10**7, 15 * 10**6 + 1), ()),  # rank 2; x_1 alone reaches 5 * 10**6
+        ],
+    )
+    def test_cost_does_not_grow_with_the_last_part(self, r, expected):
+        """Row k alone admits about r_k^(k-2) heads, and walking them all
+        takes minutes at r_k = 100003.  A nonsingular system is settled by
+        its one rational solution, and a singular one is walked under every
+        row, least reach first."""
+        system = build_system(r)
+        start = time.perf_counter()
+        solved = solve_positive(system)
+        assert time.perf_counter() - start < 1.0
+        assert solved.kind == "finite"
+        assert solved.solutions == expected
+        for x in expected:
+            assert [sum(a * v for a, v in zip(row, x)) for row in system.matrix] == list(
+                system.rhs
+            )
 
 
 class TestReflexiveFamily:
