@@ -51,22 +51,24 @@ class OracleCaps:
 EHRHART_ORACLE_CAPS = OracleCaps(max_dimension=7, max_entry_sum=200)
 
 
+def weights(q: QVector, scan) -> list:
+    """weight(q, b) = b - sum_i floor(q_i b / s) for each scan index b in `scan`."""
+    s = normalized_volume(q)
+    entries = q.entries
+    return [b - sum((qi * b) // s for qi in entries) for b in scan]
+
+
 def weight(q: QVector, b: int) -> int:
     """Height of the parallelepiped point selected by scan index b."""
-    s = normalized_volume(q)
-    return b - sum((qi * b) // s for qi in q.entries)
+    return weights(q, (b,))[0]
 
 
 def hstar_closed_form(q: QVector) -> HStarPolynomial:
     """Histogram of weight(q, b) over b = 0..sum(q).  Reflexive input only."""
     if not is_reflexive(q):
         raise NotReflexive(f"q = {q} is not reflexive; use an oracle instead")
-    s = normalized_volume(q)
-    n = q.n
-    counts = [0] * (n + 1)
-    entries = q.entries
-    for b in range(s):
-        w = b - sum((qi * b) // s for qi in entries)
+    counts = [0] * (q.n + 1)
+    for w in weights(q, range(normalized_volume(q))):
         counts[w] += 1
     return HStarPolynomial(tuple(counts))
 

@@ -1,15 +1,18 @@
 """Integer decomposition property (IDP) decisions for reflexive q-vectors.
 
-The fast check scans each facet j with q_j >= 2.  For scan indices
-b = 1..q_j - 1 define
+The fast check scans each facet j with q_j >= 2.  With s = 1 + sum(q), which
+q_j divides for reflexive q, scan index b = 0..q_j - 1 of facet j has the
+closed form's weight as its height:
 
-    height_j(b) = b * (1 + sum_{i != j} q_i) / q_j - sum_{i != j} floor(b q_i / q_j),
+    height_j(b) = weight(q, b s / q_j) = b s / q_j - sum_i floor(q_i b / q_j).
 
-an exact integer for reflexive q.  The simplex is IDP iff every b with
-height_j(b) >= 2 splits as b = c + (b - c) with
-
-    floor(b q_i / q_j) - floor(c q_i / q_j) == floor((b - c) q_i / q_j)   (all i != j)
-    height_j(c) == 1.
+The simplex is IDP iff every b with height_j(b) >= 2 splits as
+b = c + (b - c) with height_j(c) == 1 and no floor carrying:
+floor(q_i b / q_j) == floor(q_i c / q_j) + floor(q_i (b - c) / q_j) for all i.
+The first term of the height is additive in b and each floor is
+superadditive, so height_j(b) <= height_j(c) + height_j(b - c), with
+equality exactly when no floor carries.  Given height_j(c) == 1, c therefore
+splits b iff height_j(b - c) == height_j(b) - 1.
 
 The brute-force oracle instead enumerates the lattice points of the m-th
 dilates directly and compares them with iterated sumsets of the points of
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .core import InternalInconsistency, NotReflexive, QVector, is_reflexive, normalized_volume
-from .ehrhart import OracleCaps
+from .ehrhart import OracleCaps, weights
 from .lattice import enumerate_dilate_points
 
 IDP_ORACLE_CAPS = OracleCaps(max_dimension=6, max_entry_sum=60)
@@ -52,52 +55,32 @@ class IdpResult:
         return self.is_idp
 
 
-def _facet_heights(q: QVector, j0: int):
-    """height_j(b) for b = 0..q_j - 1 (index 0 unused), exact integers."""
-    entries = q.entries
-    qj = entries[j0]
-    s = normalized_volume(q)
-    if (s - qj) % qj != 0:
-        raise InternalInconsistency(
-            f"facet height for q={q}, j={j0 + 1}: {s - qj} not divisible by {qj}"
-        )
-    t_factor = (s - qj) // qj
-    heights = [0] * qj
-    for b in range(1, qj):
-        # sum over i != j of floor(b q_i / q_j); the j-th term would be b itself.
-        floor_sum = sum((qi * b) // qj for qi in entries) - b
-        heights[b] = b * t_factor - floor_sum
-    return heights
-
-
 def _facet_scan(q: QVector):
     """Yield (j, b, height, c) for every scan index b with height >= 2, in
     order of facet j, then b; c is the smallest splitting index, or None."""
     if not is_reflexive(q):
         raise NotReflexive(f"q = {q} is not reflexive")
-    entries = q.entries
+    s = normalized_volume(q)
     seen = set()
-    for j0, qj in enumerate(entries):
+    for j0, qj in enumerate(q.entries):
         if qj in seen:
             continue  # same value, same conditions as the first occurrence
         seen.add(qj)
         if qj == 1:
             continue
-        heights = _facet_heights(q, j0)
-        # Splitting condition is vacuous for q_i == q_j, so test distinct others.
-        others = sorted(set(entries) - {qj})
+        if s % qj:
+            raise InternalInconsistency(f"facet {j0 + 1} of q={q}: {qj} does not divide {s}")
+        heights = weights(q, range(0, s, s // qj))
         for b in range(1, qj):
-            if heights[b] < 2:
+            height = heights[b]
+            if height < 2:
                 continue
             for c in range(1, b):
-                if heights[c] == 1 and all(
-                    (qi * b) // qj - (qi * c) // qj == (qi * (b - c)) // qj
-                    for qi in others
-                ):
+                if heights[c] == 1 and heights[b - c] == height - 1:
                     break
             else:
                 c = None
-            yield j0 + 1, b, heights[b], c
+            yield j0 + 1, b, height, c
 
 
 def idp_check(q: QVector) -> IdpResult:

@@ -82,6 +82,8 @@ class SearchSpec:
             raise ValueError("max_entry must be positive")
         if self.threads < 1:
             raise ValueError("threads must be positive")
+        if self.multiplicity_bound is not None and self.support_r is None:
+            raise ValueError("a multiplicity bound needs a fixed support")
         if self.resume and not self.output:
             raise ValueError("resume needs an output file to continue")
 
@@ -454,6 +456,10 @@ class VerificationReport:
     name: str
     checked: int
     discrepancies: tuple
+
+    def __post_init__(self):
+        if not self.checked:
+            raise ValueError(f"{self.name}: the given ranges hold no q to check")
 
     @property
     def ok(self) -> bool:

@@ -92,6 +92,8 @@ def solve_positive(system: SupportSystem, bound: int = None) -> SolutionSet:
     row every coordinate is cut at `bound` (default 50) and the result is
     marked as an unbounded family.
     """
+    if bound is not None and bound < 1:
+        raise ValueError(f"multiplicity bound must be at least 1, got {bound}")
     rows, rhs = system.matrix, system.rhs
     sol = solve_affine([list(row) for row in rows], list(rhs))
     if not sol.consistent:

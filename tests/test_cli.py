@@ -417,6 +417,24 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--r", "1,3", "--bound", "-2"),
+            ("enumerate", "--r", "2,5", "--bound", "0"),
+            ("search", "--r", "1,3", "--bound", "0"),
+            ("search", "--n-max", "1", "--max-entry", "2", "--bound", "5"),
+            ("verify", "theorem12", "--r-max", "1"),
+            ("verify", "two-support", "--max-part", "1"),
+        ],
+    )
+    def test_argument_that_selects_nothing(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 1
+        assert [json.loads(line)["code"] for line in out.splitlines()] == [
+            "invalid_argument"
+        ]
+
     def test_resume_without_output(self, capsys):
         code, _, err = run_cli(capsys, "search", "--n-max", "1", "--resume")
         assert code == 1

@@ -15,8 +15,37 @@ from reflexive_lab import (
     iter_reflexive_qvectors,
     make_qvector,
     necessary_condition,
+    normalized_volume,
+    weight,
 )
-from reflexive_lab.idp import _facet_heights, _key_weights
+from reflexive_lab.idp import FacetWitness, IdpResult, _key_weights
+
+
+def carry_scan(q):
+    """The facet scan with explicit per-part carry tests, as a reference for
+    the height identity: (j, b, height, c) with c None where nothing splits."""
+    entries = q.entries
+    out = []
+    for j0, qj in enumerate(entries):
+        if qj == 1 or qj in entries[:j0]:
+            continue
+        t_factor = (normalized_volume(q) - qj) // qj
+        heights = [b * t_factor - sum((qi * b) // qj for qi in entries) + b
+                   for b in range(qj)]
+        others = sorted(set(entries) - {qj})
+        for b in range(1, qj):
+            if heights[b] < 2:
+                continue
+            found = None
+            for c in range(1, b):
+                if heights[c] == 1 and all(
+                    (qi * b) // qj - (qi * c) // qj == (qi * (b - c)) // qj
+                    for qi in others
+                ):
+                    found = c
+                    break
+            out.append((j0 + 1, b, heights[b], found))
+    return out
 
 
 def tuple_sumset_oracle(q):
@@ -77,14 +106,31 @@ class TestIdpCheck:
         # the residue c = 1 itself always sits at height exactly 1.
         if not idp_check(q).is_idp:
             return
+        s = normalized_volume(q)
         seen = set()
         for j0, qj in enumerate(q.entries):
             if qj < 2 or qj in seen:
                 continue
             seen.add(qj)
-            heights = _facet_heights(q, j0)
+            heights = [weight(q, b * s // qj) for b in range(qj)]
             if any(heights[b] >= 2 for b in range(2, qj)):
                 assert heights[1] == 1
+
+    def test_height_identity_matches_carry_scan(self):
+        grid = list(iter_reflexive_qvectors(6, 60))
+        assert len(grid) == 636
+        for q in grid:
+            records = carry_scan(q)
+            failures = [r for r in records if r[3] is None]
+            expected = (
+                IdpResult(False, FacetWitness(*failures[0][:3])) if failures
+                else IdpResult(True)
+            )
+            assert idp_check(q) == expected, q
+            assert idp_certificates(q) == [
+                FacetWitness(j, b, h, found_c=c) for j, b, h, c in records
+                if c is not None
+            ], q
 
 
 class TestNecessaryCondition:

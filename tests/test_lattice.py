@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -42,6 +42,25 @@ def last_coordinate_count(q, t):
         lo = -((rest * qn) // (s - qn))
         total += max(rest - u_min - lo + 1, 0)
     return total
+
+
+def filtered_parallelepiped(q):
+    """The half-open parallelepiped's points (h, x) in Python ints, by
+    filtering a box through 0 <= s * lam_j <= s - 1 for every j, where
+    s * lam_0 = a = h - sum(x) and s * lam_i = s * x_i + a * q_i.
+
+    The box: the lam_j sum to h and each is below 1, so 0 <= h <= n; and
+    s * x_i = s * lam_i - a * q_i lies in [-(s - 1) q_i, s - 1], so
+    1 - q_i <= x_i <= 0.  Sorted by height, then lexicographically.
+    """
+    s = normalized_volume(q)
+    ranges = [range(q.n + 1)] + [range(1 - qi, 1) for qi in q.entries]
+    points = []
+    for h, *x in product(*ranges):
+        a = h - sum(x)
+        if 0 <= a < s and all(0 <= s * xi + a * qi < s for xi, qi in zip(x, q.entries)):
+            points.append((h, *x))
+    return points
 
 
 class TestDilateCounts:
@@ -160,6 +179,20 @@ class TestFundamentalParallelepiped:
             p for p in fundamental_parallelepiped_points(q) if p[0] == 0
         ]
         assert zero_height == [(0,) * (q.n + 1)]
+
+    def test_matches_filtered_box_on_a_grid(self):
+        grid = [
+            make_qvector(c)
+            for n in range(1, 4)
+            for c in combinations_with_replacement(range(1, 8), n)
+        ]
+        assert len(grid) == 119
+        for q in grid:
+            assert fundamental_parallelepiped_points(q) == filtered_parallelepiped(q), q
+
+    @given(qvectors(max_n=4, max_entry=7))
+    def test_matches_filtered_box(self, q):
+        assert fundamental_parallelepiped_points(q) == filtered_parallelepiped(q)
 
     def test_numpy_path_matches_python_path(self, monkeypatch):
         # The prefix box (5 * 11 * 12 * 13 prefixes) exceeds the pure-python
