@@ -73,7 +73,8 @@ def _parse_caps(text: str) -> OracleCaps:
         return OracleCaps(int(n_part), int(v_part))
     except (ValueError, TypeError):
         raise _CliParseError(
-            f"--oracle-caps expects 'n:volume' (two integers), got {text!r}"
+            f"--oracle-caps expects 'n:volume' (two integers, each at least 1), "
+            f"got {text!r}"
         )
 
 

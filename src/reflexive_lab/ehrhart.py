@@ -36,6 +36,13 @@ class OracleCaps:
     max_dimension: int
     max_entry_sum: int
 
+    def __post_init__(self):
+        if self.max_dimension < 1 or self.max_entry_sum < 1:
+            raise ValueError(
+                f"oracle caps must be at least 1, got "
+                f"{self.max_dimension}:{self.max_entry_sum}"
+            )
+
     def check(self, q: QVector, what: str) -> None:
         if q.n > self.max_dimension:
             raise OracleTooLarge(

@@ -1,10 +1,10 @@
 """Exact rational linear algebra over fractions.Fraction.
 
 Small dense systems only (k <= 8 or so): one Gauss-Jordan elimination with
-determinant tracking, behind an affine solve and an integer adjugate.
+determinant tracking, behind a consistency test for A x = b and an integer
+adjugate.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -48,27 +48,13 @@ def rref(rows):
     return m, pivots, det
 
 
-@dataclass(frozen=True)
-class AffineSolution:
-    """Whether A x = b has a rational solution, one if so, and if it is unique."""
-
-    consistent: bool
-    particular: tuple  # Fractions, free coordinates set to 0; () if inconsistent
-    unique: bool  # every column of A holds a pivot
-
-
-def solve_affine(a_rows, b) -> AffineSolution:
+def solve_affine(a_rows, b) -> bool:
+    """Whether A x = b has a rational solution: it has none exactly when
+    eliminating [A | b] leaves a pivot in the b column, a reduced row
+    (0 ... 0 | nonzero)."""
     ncols = len(a_rows[0])
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    red, pivots, _ = rref(aug)
-    # Inconsistent iff some reduced row is (0 ... 0 | nonzero).
-    for row in red:
-        if all(v == 0 for v in row[:ncols]) and row[ncols] != 0:
-            return AffineSolution(False, (), False)
-    particular = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):  # consistent: no pivot in column b
-        particular[c] = red[r][ncols]
-    return AffineSolution(True, tuple(particular), len(pivots) == ncols)
+    _, pivots, _ = rref([list(row) + [bv] for row, bv in zip(a_rows, b)])
+    return ncols not in pivots
 
 
 def integer_adjugate(rows):

@@ -18,12 +18,14 @@ the pin row, bounds x_k, and the family is finite.  When every part divides
 r_k, column k is zero, x_k is free, and the family is enumerated up to a
 bound.
 
-A nonsingular system has a single rational solution, which is checked
-alone.  Otherwise the coordinates are walked under every row at once: R is
+A rational solve only decides whether the system is consistent; every
+positive solution is then listed by one walk under all rows at once: R is
 nonnegative, so each row bounds the coordinates it holds, and a row with
-one coordinate left open fixes it.
+one coordinate left open fixes it.  The same walk lists the reflexive
+family of a support, over the one row sum_i r_i x_i = total.
 """
 
+import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
@@ -95,56 +97,56 @@ def solve_positive(system: SupportSystem, bound: int = None) -> SolutionSet:
     if bound is not None and bound < 1:
         raise ValueError(f"multiplicity bound must be at least 1, got {bound}")
     rows, rhs = system.matrix, system.rhs
-    sol = solve_affine([list(row) for row in rows], list(rhs))
-    if not sol.consistent:
+    if not solve_affine(rows, rhs):
         raise NoSolution(f"support {system.parts} admits no multiplicity vector")
     *head_parts, last = system.parts
     pinned = any(last % r for r in head_parts)
     if not pinned:
         bound = DEFAULT_BOUND if bound is None else bound
-    if sol.unique:  # then column k is nonzero, so `pinned` holds
-        x = sol.particular
-        whole = all(v.denominator == 1 and v >= 1 for v in x)
-        found = [tuple(map(int, x))] if whole else []
-    else:
-        found = _positive_points(rows, rhs, cap=None if pinned else bound)
-    found.sort(key=lambda x: (sum(map(mul, x, system.parts)), x))
+    found = sorted(
+        _positive_points(rows, rhs, cap=None if pinned else bound),
+        key=lambda x: (sum(map(mul, x, system.parts)), x),
+    )
     if pinned:
         return SolutionSet(kind="finite", solutions=tuple(found))
     return SolutionSet(kind="unbounded_family", solutions=tuple(found), bound=bound)
 
 
-def _positive_points(rows, rhs, cap):
-    """Every x >= 1 with R x = rhs, unordered; x_i <= cap if cap is set.
+def _positive_points(rows, rhs, cap, order=None):
+    """Yield every x >= 1 with R x = rhs; x_i <= cap if cap is set.
 
-    R is nonnegative, so with the coordinates still open at their least
-    value 1 no row may exceed its right-hand side: room[j] is what row j
-    has left, and x_i can exceed 1 by at most room[j] // R[j][i] in each row
-    j with R[j][i] > 0.  The walk fixes the coordinates with the least such
-    reach first, and a row whose last open positive entry is x_i fixes x_i
-    outright.
+    R is a nonnegative m x k matrix.  Every coordinate must be bounded: a
+    row holding it with a positive entry bounds it, and `cap` bounds the
+    rest, so a column of zeros needs `cap`.  With the coordinates still
+    open at their least value 1 no row may exceed its right-hand side:
+    room[j] is what row j has left, and x_i can exceed 1 by at most
+    room[j] // R[j][i] in each row j with R[j][i] > 0.
+
+    The walk fixes the coordinates in `order`, by default the least such
+    reach first, and yields the points in lexicographic order of the
+    coordinates so taken.  A row whose last open positive entry is x_i
+    fixes x_i outright.
     """
-    k = len(rows)
+    k = len(rows[0])
     room = [b - sum(row) for row, b in zip(rows, rhs)]
     if min(room) < 0:
-        return []
+        return
 
     def reach(i):
         bounds = [room[j] // row[i] for j, row in enumerate(rows) if row[i]]
         return min(bounds, default=cap)
 
-    order = sorted(range(k), key=reach)
-    column = [[(j, rows[j][i]) for j in range(k) if rows[j][i]] for i in order]
+    order = sorted(range(k), key=reach) if order is None else list(order)
+    column = [[(j, row[i]) for j, row in enumerate(rows) if row[i]] for i in order]
     closing = [
         next((j for j, _ in col if not any(rows[j][i] for i in order[t + 1 :])), None)
         for t, col in enumerate(column)
     ]
-    found = []
 
     def rec(t, x, room):
         if t == k:
             if not any(room):
-                found.append(tuple(v for _, v in sorted(zip(order, x))))
+                yield tuple(v for _, v in sorted(zip(order, x)))
             return
         j = closing[t]
         if j is not None:
@@ -152,7 +154,7 @@ def _positive_points(rows, rhs, cap):
             extras = [] if off else [extra]
         elif column[t]:
             extras = range(1 + min(room[j] // a for j, a in column[t]))
-        else:  # x_k when every part divides r_k
+        else:  # a column of zeros, such as x_k when every part divides r_k
             extras = range(cap)
         for e in extras:
             if cap is not None and e >= cap:
@@ -162,10 +164,9 @@ def _positive_points(rows, rhs, cap):
                 left[j] -= a * e
             if min(left) < 0:
                 break
-            rec(t + 1, x + (1 + e,), left)
+            yield from rec(t + 1, x + (1 + e,), left)
 
-    rec(0, (), room)
-    return found
+    yield from rec(0, (), room)
 
 
 def expand_solution(system: SupportSystem, x) -> QVector:
@@ -182,6 +183,11 @@ def reflexive_family(r, count: int) -> list:
     gcd(r) == 1 (otherwise 1 + sum is coprime to the common divisor and
     nothing qualifies).  Ordered by ascending total sum(q), then by
     lexicographic multiplicity vector.
+
+    The totals are those with lcm(r) | 1 + total, and each one's members
+    are the points of the one-row system sum_i r_i x_i = total, walked in
+    coordinate order so that they come out lexicographically and a large
+    total is only walked as far as `count` needs.
     """
     parts = _validate_r(r)
     if count < 0:
@@ -192,35 +198,13 @@ def reflexive_family(r, count: int) -> list:
     if g != 1:
         raise GcdNotOne(f"gcd of support {parts} is {g}, not 1")
     modulus = lcm(*parts)
-    found = []
-    total = sum(parts)  # minimum possible: every multiplicity equal to 1
-    while len(found) < count:
-        if (1 + total) % modulus == 0:
-            for x in _compositions_with_weights(total, parts):
-                entries = []
-                for part, mult in zip(parts, x):
-                    entries.extend([part] * mult)
-                found.append(QVector(tuple(entries)))
-                if len(found) == count:
-                    break
-        total += 1
-    return found
-
-
-def _compositions_with_weights(total, parts):
-    """All x >= 1 with sum x_i * parts_i == total, lexicographic order."""
-    k = len(parts)
-
-    def rec(i, remaining):
-        if i == k - 1:
-            if remaining >= parts[i] and remaining % parts[i] == 0:
-                yield (remaining // parts[i],)
-            return
-        tail_min = sum(parts[i + 1 :])
-        v = 1
-        while v * parts[i] + tail_min <= remaining:
-            for rest in rec(i + 1, remaining - v * parts[i]):
-                yield (v,) + rest
-            v += 1
-
-    return rec(0, total)
+    least = sum(parts)  # every multiplicity equal to 1
+    members = (
+        x
+        for total in itertools.count(least + (-1 - least) % modulus, modulus)
+        for x in _positive_points([parts], [total], cap=None, order=range(len(parts)))
+    )
+    return [
+        QVector(tuple(p for p, mult in zip(parts, x) for _ in range(mult)))
+        for x in itertools.islice(members, count)
+    ]

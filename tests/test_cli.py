@@ -396,12 +396,17 @@ class TestErrorHandling:
         assert "error:" in err
 
     def test_bad_caps_syntax(self, capsys):
-        for bad in ("abc", "7", "7:x", ":"):
+        for bad in ("abc", "7", "7:x", ":", "0:200", "7:0"):
             code, _, err = run_cli(
                 capsys, "hstar", "--q", "2,3", "--oracle-caps", bad
             )
             assert code == 1
             assert "error:" in err
+        code, _, err = run_cli(
+            capsys, "check", "--q", "2,3,6", "--oracle", "--oracle-caps=-1:5"
+        )
+        assert code == 1
+        assert "error:" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,8 +1,7 @@
 """linalg against test-local references: cofactor expansion for the adjugate
-and determinant, and minor ranks for the affine solve."""
+and determinant, and minor ranks for the consistency of A x = b."""
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -84,8 +83,9 @@ class TestIntegerAdjugate:
 
 class TestSolveAffine:
     def test_random_systems(self):
+        """A x = b is consistent exactly when [A | b] has the rank of A."""
         rng = random.Random(99)
-        kinds = set()
+        verdicts = set()
         for trial in range(300):
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
             a = random_matrix(rng, rows, cols, span=3 if trial % 3 else 1)
@@ -94,16 +94,9 @@ class TestSolveAffine:
                 b = [sum(v * x for v, x in zip(row, x0)) for row in a]
             else:
                 b = [rng.randint(-5, 5) for _ in range(rows)]
-            sol = solve_affine(a, b)
-            rank = minor_rank(a)
+            consistent = solve_affine(a, b)
             aug_rank = minor_rank([row + [bv] for row, bv in zip(a, b)])
-            assert sol.consistent == (rank == aug_rank), (a, b)
-            if sol.consistent:
-                assert len(sol.particular) == cols
-                assert all(isinstance(v, Fraction) for v in sol.particular)
-                assert [sum(v * x for v, x in zip(row, sol.particular)) for row in a] == b
-                assert sol.unique == (rank == cols), (a, b)
-            else:
-                assert sol.particular == () and not sol.unique
-            kinds.add((sol.consistent, sol.unique))
-        assert kinds == {(False, False), (True, False), (True, True)}
+            assert consistent is (minor_rank(a) == aug_rank), (a, b)
+            assert consistent or trial % 2 == 0, (a, b)
+            verdicts.add(consistent)
+        assert verdicts == {False, True}

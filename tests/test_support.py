@@ -1,5 +1,6 @@
 import time
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -215,9 +216,9 @@ class TestSolvePositiveLargeParts:
     )
     def test_cost_does_not_grow_with_the_last_part(self, r, expected):
         """Row k alone admits about r_k^(k-2) heads, and walking them all
-        takes minutes at r_k = 100003.  A nonsingular system is settled by
-        its one rational solution, and a singular one is walked under every
-        row, least reach first."""
+        takes minutes at r_k = 100003.  The walk runs under every row at
+        once, least reach first, so nonsingular and singular systems alike
+        close after a few steps."""
         system = build_system(r)
         start = time.perf_counter()
         solved = solve_positive(system)
@@ -230,7 +231,55 @@ class TestSolvePositiveLargeParts:
             )
 
 
+def _reflexive_box(r, box):
+    """Every x in [1..box]^k with each part dividing 1 + sum x_i r_i, by
+    ascending (sum x_i r_i, x)."""
+    axes = np.meshgrid(*[np.arange(1, box + 1)] * len(r), indexing="ij")
+    points = np.stack(axes, axis=-1).reshape(-1, len(r))
+    totals = points @ np.array(r)
+    hits = np.all([(1 + totals) % part == 0 for part in r], axis=0)
+    found = [tuple(int(v) for v in x) for x in points[hits]]
+    return sorted(found, key=lambda x: (sum(v * p for v, p in zip(x, r)), x))
+
+
 class TestReflexiveFamily:
+    def test_first_members_match_a_filtered_box(self):
+        """The first 6 members of every gcd-1 family with k <= 3 and parts
+        <= 8 are the first 6 points of a filtered box.  The box grows until
+        it holds 6 points and every x of total at most the 6th one's: such
+        an x has x_i <= (total - sum r) // r_1 + 1."""
+        checked = 0
+        for k in (1, 2, 3):
+            for r in combinations(range(1, 9), k):
+                if gcd(*r) != 1:
+                    continue
+                box = 2
+                while True:
+                    first = _reflexive_box(r, box)[:6]
+                    last = sum(v * p for v, p in zip(first[-1], r)) if first else 0
+                    if len(first) == 6 and (last - sum(r)) // r[0] + 1 <= box:
+                        break
+                    box *= 2
+                expected = [
+                    tuple(p for p, mult in zip(r, x) for _ in range(mult)) for x in first
+                ]
+                assert [q.entries for q in reflexive_family(r, 6)] == expected, r
+                checked += 1
+        assert checked == 1 + 21 + 52
+
+    def test_walks_a_large_total_only_as_far_as_count_needs(self):
+        """The first total of (5, 6, 7, 8, 9) is 2519, which has 107,902,184
+        members; the first three come without listing the rest."""
+        parts = (5, 6, 7, 8, 9)
+        start = time.perf_counter()
+        family = reflexive_family(parts, 3)
+        assert time.perf_counter() - start < 1.0
+        assert [tuple(q.entries.count(p) for p in parts) for q in family] == [
+            (1, 1, 1, 1, 277),
+            (1, 1, 1, 10, 269),
+            (1, 1, 1, 19, 261),
+        ]
+
     def test_all_ones(self):
         family = reflexive_family((1,), 3)
         assert [q.entries for q in family] == [(1,), (1, 1), (1, 1, 1)]
