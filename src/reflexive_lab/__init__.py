@@ -4,142 +4,64 @@ plus two independent enumeration oracles), reflexivity and integer
 decomposition property (IDP) tests, fixed-support Diophantine enumeration,
 affine free sums, and batch search for counterexamples to
 "IDP + reflexive implies unimodal h*".
+
+Importing the package loads none of its modules: each public name, and
+each module (`reflexive_lab.lattice`), is looked up on first use (PEP 562).
 """
 
-from .core import (
-    GcdNotOne,
-    HStarPolynomial,
-    InternalInconsistency,
-    InvalidQVector,
-    InvalidRVector,
-    NoSolution,
-    NotReflexive,
-    OracleTooLarge,
-    PayneConstraint,
-    QVector,
-    ReflexiveLabError,
-    SupportDecomposition,
-    format_hstar,
-    format_qvector,
-    is_reflexive,
-    make_qvector,
-    normalized_volume,
-    parse_qvector,
-    support_of,
-)
-from .ehrhart import (
-    EHRHART_ORACLE_CAPS,
-    OracleCaps,
-    hstar_closed_form,
-    hstar_oracle_interpolation,
-    hstar_oracle_parallelepiped,
-    is_symmetric,
-    is_unimodal,
-    payne_hstar_product,
-    payne_qvector,
-    weight,
-)
-from .freesum import FreeSumSplit, compose, decompose
-from .idp import (
-    IDP_ORACLE_CAPS,
-    FacetWitness,
-    IdpResult,
-    idp_certificates,
-    idp_check,
-    idp_oracle_bruteforce,
-    necessary_condition,
-)
-from .lattice import (
-    count_dilate_points,
-    enumerate_dilate_points,
-    fundamental_parallelepiped_histogram,
-    fundamental_parallelepiped_points,
-)
-from .search import (
-    FILTER_NAMES,
-    CandidateReport,
-    SearchSpec,
-    SearchSummary,
-    VerificationReport,
-    evaluate_candidate,
-    iter_qvectors,
-    iter_reflexive_qvectors,
-    run_search,
-    two_support_rule,
-    verify_two_support_classification,
-    verify_two_support_unimodality,
-)
-from .support import (
-    SolutionSet,
-    SupportSystem,
-    build_system,
-    expand_solution,
-    reflexive_family,
-    solve_positive,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CandidateReport",
-    "EHRHART_ORACLE_CAPS",
-    "FILTER_NAMES",
-    "FacetWitness",
-    "FreeSumSplit",
-    "GcdNotOne",
-    "HStarPolynomial",
-    "IDP_ORACLE_CAPS",
-    "IdpResult",
-    "InternalInconsistency",
-    "InvalidQVector",
-    "InvalidRVector",
-    "NoSolution",
-    "NotReflexive",
-    "OracleCaps",
-    "OracleTooLarge",
-    "PayneConstraint",
-    "QVector",
-    "ReflexiveLabError",
-    "SearchSpec",
-    "SearchSummary",
-    "SolutionSet",
-    "SupportDecomposition",
-    "SupportSystem",
-    "VerificationReport",
-    "build_system",
-    "compose",
-    "count_dilate_points",
-    "decompose",
-    "enumerate_dilate_points",
-    "evaluate_candidate",
-    "expand_solution",
-    "format_hstar",
-    "format_qvector",
-    "fundamental_parallelepiped_histogram",
-    "fundamental_parallelepiped_points",
-    "hstar_closed_form",
-    "hstar_oracle_interpolation",
-    "hstar_oracle_parallelepiped",
-    "idp_certificates",
-    "idp_check",
-    "idp_oracle_bruteforce",
-    "is_reflexive",
-    "is_symmetric",
-    "is_unimodal",
-    "iter_qvectors",
-    "iter_reflexive_qvectors",
-    "make_qvector",
-    "necessary_condition",
-    "normalized_volume",
-    "parse_qvector",
-    "payne_hstar_product",
-    "payne_qvector",
-    "reflexive_family",
-    "run_search",
-    "solve_positive",
-    "support_of",
-    "two_support_rule",
-    "verify_two_support_classification",
-    "verify_two_support_unimodality",
-    "weight",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "core": (
+        "GcdNotOne", "HStarPolynomial", "InternalInconsistency", "InvalidQVector",
+        "InvalidRVector", "NoSolution", "NotReflexive", "OracleTooLarge",
+        "OutputNotWritable", "PayneConstraint", "QVector", "ReflexiveLabError",
+        "SupportDecomposition", "format_hstar", "format_qvector", "is_reflexive",
+        "make_qvector", "normalized_volume", "parse_qvector", "support_of",
+    ),
+    "ehrhart": (
+        "EHRHART_ORACLE_CAPS", "OracleCaps", "hstar_closed_form",
+        "hstar_oracle_interpolation", "hstar_oracle_parallelepiped", "is_symmetric",
+        "is_unimodal", "payne_hstar_product", "payne_qvector", "weight",
+    ),
+    "freesum": ("FreeSumSplit", "compose", "decompose"),
+    "idp": (
+        "IDP_ORACLE_CAPS", "FacetWitness", "IdpResult", "idp_certificates",
+        "idp_check", "idp_oracle_bruteforce", "necessary_condition",
+    ),
+    "lattice": (
+        "count_dilate_points", "enumerate_dilate_points",
+        "fundamental_parallelepiped_histogram", "fundamental_parallelepiped_points",
+    ),
+    "search": (
+        "FILTER_NAMES", "CandidateReport", "SearchSpec", "SearchSummary",
+        "VerificationReport", "evaluate_candidate", "iter_qvectors",
+        "iter_reflexive_qvectors", "run_search", "two_support_rule",
+        "verify_two_support_classification", "verify_two_support_unimodality",
+    ),
+    "support": (
+        "SolutionSet", "SupportSystem", "build_system", "expand_solution",
+        "reflexive_family", "solve_positive",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "linalg"}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    # Not cached in the package: a name always reads its module's current
+    # binding, which a tracer may replace and restore.
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module("." + _MODULE_OF[name], __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return __all__

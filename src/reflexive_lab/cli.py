@@ -446,22 +446,32 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    args = None
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
     except _CliParseError as exc:
-        _report_error("usage_error", str(exc), argv)
+        _report_error("usage_error", str(exc), _json_mode(args, argv))
         return EXIT_ERROR
     except ReflexiveLabError as exc:
-        _report_error(exc.code, str(exc), argv)
+        _report_error(exc.code, str(exc), _json_mode(args, argv))
         return EXIT_INCONSISTENT if exc.code == "internal_inconsistency" else EXIT_ERROR
     except ValueError as exc:
-        _report_error("invalid_argument", str(exc), argv)
+        _report_error("invalid_argument", str(exc), _json_mode(args, argv))
         return EXIT_ERROR
 
 
-def _report_error(code: str, message: str, argv) -> None:
-    json_mode = "--json" in (argv if argv is not None else sys.argv[1:])
+def _json_mode(args, argv) -> bool:
+    """--json as parsed; when parsing failed, any argument that argparse
+    would take for it, abbreviations included."""
+    if args is not None:
+        return args.json
+    return any(len(arg) > 2 and "--json".startswith(arg) for arg in argv)
+
+
+def _report_error(code: str, message: str, json_mode: bool) -> None:
     if json_mode:
         print(json.dumps({"code": code, "message": message}))
     else:

@@ -52,6 +52,10 @@ class GcdNotOne(ReflexiveLabError):
     code = "gcd_not_one"
 
 
+class OutputNotWritable(ReflexiveLabError):
+    code = "output_not_writable"
+
+
 class InternalInconsistency(ReflexiveLabError):
     """Two exact routes to the same value disagreed; always a bug."""
 

@@ -16,6 +16,7 @@ from itertools import chain, combinations_with_replacement
 from .core import (
     InternalInconsistency,
     OracleTooLarge,
+    OutputNotWritable,
     QVector,
     is_reflexive,
     normalized_volume,
@@ -383,8 +384,21 @@ def _load_resume_state(path, candidates, filters):
     return kept, start
 
 
+def _check_output_path(path):
+    """Refuse an output path that cannot become a file, before the sweep
+    spends any time: a directory, or a name in a missing directory.  The
+    file itself is neither created nor truncated, since --resume reads it."""
+    if os.path.isdir(path):
+        raise OutputNotWritable(f"cannot write {path}: it is a directory")
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise OutputNotWritable(f"cannot write {path}: no directory {parent}")
+
+
 def run_search(spec: SearchSpec) -> SearchSummary:
     """Evaluate all candidates, then write the JSONL records and a summary line."""
+    if spec.output:
+        _check_output_path(spec.output)
     candidates, metadata = _candidates_for(spec)
     counts = {k: 0 for k in _SUMMARY_KEYS}
     counts["candidates"] = len(candidates)
@@ -433,8 +447,11 @@ def run_search(spec: SearchSpec) -> SearchSummary:
     )
     text = "\n".join(lines + [summary.to_json_line()]) + "\n"
     if spec.output:
-        with open(spec.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(spec.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputNotWritable(f"cannot write {spec.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return summary

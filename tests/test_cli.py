@@ -1,11 +1,7 @@
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import reflexive_lab
 from reflexive_lab import (
     HStarPolynomial,
     SearchSummary,
@@ -511,6 +507,57 @@ class TestErrorHandling:
         assert code == 1
         assert json.loads(out)["code"] == "oracle_too_large"
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("hstar", "--q", "2,2"), "not_reflexive"),
+            (("freesum", "decompose", "--q", "2,2"), "not_reflexive"),
+            (("enumerate", "--r", "2,4"), "no_solution"),
+        ],
+    )
+    def test_abbreviated_json_flag_gives_json_errors(self, capsys, argv, code):
+        rc, out, err = run_cli(capsys, *argv, "--js")
+        assert rc == 1
+        assert json.loads(out)["code"] == code
+        assert err == ""
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    @pytest.mark.parametrize("target", ["", "missing/sweep.jsonl"])
+    def test_unwritable_output_is_refused_before_the_sweep(
+        self, capsys, monkeypatch, tmp_path, json_flag, target
+    ):
+        def never(*args):
+            raise AssertionError("a candidate was evaluated")
+
+        monkeypatch.setattr("reflexive_lab.search._search_worker", never)
+        path = str(tmp_path / target)
+        rc, out, err = run_cli(capsys, "search", "--n-max", "2", "--output", path, *json_flag)
+        assert rc == 1
+        message = json.loads(out)["message"] if json_flag else err
+        assert f"cannot write {path}" in message
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_failed_final_write_names_the_path(self, capsys, monkeypatch, tmp_path, json_flag):
+        import reflexive_lab.search as search
+
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        path = str(outdir / "sweep.jsonl")
+        candidates_for = search._candidates_for
+
+        def then_remove_the_directory(spec):
+            outdir.rmdir()
+            return candidates_for(spec)
+
+        monkeypatch.setattr(search, "_candidates_for", then_remove_the_directory)
+        rc, out, err = run_cli(capsys, "search", "--n-max", "2", "--output", path, *json_flag)
+        assert rc == 1
+        if json_flag:
+            assert json.loads(out)["code"] == "output_not_writable"
+        else:
+            assert err.startswith(f"error: cannot write {path}: ")
+
 
 def emitted_every_candidate(out):
     *records, summary = [json.loads(line) for line in out.splitlines()]
@@ -546,23 +593,6 @@ class TestParserReuse:
         assert run_cli(capsys, *second) == reference
 
 
-def child_env():
-    """The environment of a child interpreter that imports this same package."""
-    src = os.path.dirname(os.path.dirname(reflexive_lab.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path)
-
-
-def run_module(*argv):
-    """`python -m reflexive_lab` in a child that imports this same package."""
-    return subprocess.run(
-        [sys.executable, "-m", "reflexive_lab", *argv],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
-
-
 COLD_START = """
 import contextlib, io, json, sys
 import reflexive_lab
@@ -594,10 +624,8 @@ print(json.dumps(out))
 
 
 class TestColdStart:
-    def test_only_a_lattice_scan_loads_numpy(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", COLD_START], capture_output=True, text=True, env=child_env()
-        )
+    def test_only_a_lattice_scan_loads_numpy(self, python):
+        proc = python("-c", COLD_START)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
         assert out["import"] == out["check"] == []
@@ -609,12 +637,12 @@ class TestColdStart:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m(self):
-        proc = run_module("hstar", "--q", "2,3")
+    def test_python_dash_m(self, python):
+        proc = python("-m", "reflexive_lab", "hstar", "--q", "2,3")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "[1,4,1]"
 
-    def test_console_script_exit_code(self):
-        proc = run_module("hstar", "--q", "2,2")
+    def test_console_script_exit_code(self, python):
+        proc = python("-m", "reflexive_lab", "hstar", "--q", "2,2")
         assert proc.returncode == 1
         assert "not reflexive" in proc.stderr
