@@ -64,4 +64,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return __all__
+    return sorted({*globals(), *__all__, *_SUBMODULES})

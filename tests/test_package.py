@@ -67,7 +67,9 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_dir_covers_all():
-    assert set(reflexive_lab.__all__) <= set(dir(reflexive_lab))
+    listed = set(dir(reflexive_lab))
+    assert set(reflexive_lab.__all__) <= listed
+    assert {"__version__", "lattice", "linalg", "cli"} <= listed
 
 
 def test_exports_listed_once():
