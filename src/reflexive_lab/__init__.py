@@ -25,12 +25,12 @@ _EXPORTS = {
     "ehrhart": (
         "EHRHART_ORACLE_CAPS", "OracleCaps", "hstar_closed_form",
         "hstar_oracle_interpolation", "hstar_oracle_parallelepiped", "is_symmetric",
-        "is_unimodal", "payne_hstar_product", "payne_qvector", "weight",
+        "is_unimodal", "payne_hstar_product", "payne_qvector",
     ),
     "freesum": ("FreeSumSplit", "compose", "decompose"),
     "idp": (
-        "IDP_ORACLE_CAPS", "FacetWitness", "IdpResult", "idp_certificates",
-        "idp_check", "idp_oracle_bruteforce", "necessary_condition",
+        "IDP_ORACLE_CAPS", "FacetWitness", "IdpResult", "idp_check",
+        "idp_oracle_bruteforce", "necessary_condition",
     ),
     "lattice": (
         "count_dilate_points", "enumerate_dilate_points",

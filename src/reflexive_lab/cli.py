@@ -169,10 +169,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "search", parents=[json_flag, caps_flag], help="classification sweep (JSONL)"
     )
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--max-entry", type=int, default=12)
-    p.add_argument("--r", default=None, help="fixed support; overrides the n/entry box")
+    p.add_argument("--n-min", type=int, help="box: smallest n (default 1)")
+    p.add_argument("--n-max", type=int, help="box: largest n (default 5)")
+    p.add_argument("--max-entry", type=int, help="box: largest entry (default 12)")
+    p.add_argument("--r", default=None, help="fixed support instead of the n/entry box")
     p.add_argument(
         "--bound", type=int, default=None, help="multiplicity cut for --r families"
     )
@@ -188,7 +188,8 @@ def build_parser() -> _Parser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes (default 1); the output does not depend on it",
+        help="worker processes (default 1), at most the CPUs this process may use; "
+        "the output does not depend on it",
     )
     p.add_argument(
         "--resume",

@@ -59,19 +59,15 @@ EHRHART_ORACLE_CAPS = OracleCaps(max_dimension=7, max_entry_sum=200)
 
 
 def weights(q: QVector, scan) -> list:
-    """weight(q, b) = b - sum_i floor(q_i b / s) for each scan index b in `scan`."""
+    """The weight b - sum_i floor(q_i b / s) of each scan index b in `scan`:
+    the height of the parallelepiped point that b selects."""
     s = normalized_volume(q)
     entries = q.entries
     return [b - sum((qi * b) // s for qi in entries) for b in scan]
 
 
-def weight(q: QVector, b: int) -> int:
-    """Height of the parallelepiped point selected by scan index b."""
-    return weights(q, (b,))[0]
-
-
 def hstar_closed_form(q: QVector) -> HStarPolynomial:
-    """Histogram of weight(q, b) over b = 0..sum(q).  Reflexive input only."""
+    """Histogram of the weights of b = 0..sum(q).  Reflexive input only."""
     if not is_reflexive(q):
         raise NotReflexive(f"q = {q} is not reflexive; use an oracle instead")
     counts = [0] * (q.n + 1)

@@ -5,8 +5,21 @@ For reflexive p (length n) and q (length m), setting s = 1 + sum(p) and
     y = sort(p_1, ..., p_n, s*q_1, ..., s*q_m)
 
 gives the q-vector of the free sum of the two simplices glued at the apex
-vertex.  Reflexivity, IDP, and h*-unimodality all transfer; the h*-vector of
-y is the product of the two h*-vectors.
+vertex.  y is reflexive, h*(y) = h*(p) h*(q), and y is IDP iff p and q are.
+
+Proof.  Scan index c = 0..t-1 of reflexive q (t = 1 + sum(q)) is the box
+point with coordinates c/t and {q_k c/t}; its height, their sum, is the
+weight w_q(c), and q is IDP iff each c of height >= 2 lies coordinatewise
+above some c' of height 1.  Write a scan index of y (1 + sum(y) = s t) as
+b = t a + c, 0 <= a < s, 0 <= c < t.  With m_i = s / p_i (m_0 = s, the
+apex), b's coordinates are (a mod m_i + c/t) / m_i and {q_k c/t}, so
+w_y(b) = w_p(a) + w_q(c), and h* multiplies.  A b' = t a' + c' of height 1
+has a' = 0 or c' = 0, and lies below b iff (a' mod m_i, c') <= (a mod m_i, c)
+lexicographically and {q_k c'/t} <= {q_k c/t}.  So if p and q are IDP, b of
+height >= 2 lies above c (w_q(c) = 1), above a c' below c (w_q(c) >= 2), or,
+if c = 0, above t a' for an a' below a.  Conversely, below b = c every
+a' mod m_i is 0, so c' <= c lies below c in q; below b = t a every
+{q_k c'/t} is 0, so w_q(c') = c'/t < 1 gives c' = 0, and a' lies below a.
 """
 
 from dataclasses import dataclass

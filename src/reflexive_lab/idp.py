@@ -2,9 +2,9 @@
 
 The fast check scans each facet j with q_j >= 2.  With s = 1 + sum(q), which
 q_j divides for reflexive q, scan index b = 0..q_j - 1 of facet j has the
-closed form's weight as its height:
+closed form's weight at b s / q_j as its height:
 
-    height_j(b) = weight(q, b s / q_j) = b s / q_j - sum_i floor(q_i b / q_j).
+    height_j(b) = b s / q_j - sum_i floor(q_i b / q_j).
 
 The simplex is IDP iff every b with height_j(b) >= 2 splits as
 b = c + (b - c) with height_j(c) == 1 and no floor carrying:
@@ -40,7 +40,6 @@ class FacetWitness:
     facet_j: int  # 1-based position in the sorted q-vector
     b: int
     height: int
-    found_c: int = None  # populated only in certificate listings
 
     def to_json_dict(self):
         return {"facet_j": self.facet_j, "b": self.b, "height": self.height}
@@ -55,21 +54,18 @@ class IdpResult:
         return self.is_idp
 
 
-def _facet_scan(q: QVector):
-    """Yield (j, b, height, c) for every scan index b with height >= 2, in
-    order of facet j, then b; c is the smallest splitting index, or None."""
+def idp_check(q: QVector) -> IdpResult:
+    """Facet scan over the distinct parts; the witness has the smallest j,
+    then the smallest b."""
     if not is_reflexive(q):
         raise NotReflexive(f"q = {q} is not reflexive")
     s = normalized_volume(q)
-    seen = set()
-    for j0, qj in enumerate(q.entries):
-        if qj in seen:
-            continue  # same value, same conditions as the first occurrence
-        seen.add(qj)
+    for qj in dict.fromkeys(q.entries):  # a repeated part repeats its facet's conditions
         if qj == 1:
             continue
+        j = q.entries.index(qj) + 1
         if s % qj:
-            raise InternalInconsistency(f"facet {j0 + 1} of q={q}: {qj} does not divide {s}")
+            raise InternalInconsistency(f"facet {j} of q={q}: {qj} does not divide {s}")
         heights = weights(q, range(0, s, s // qj))
         for b in range(1, qj):
             height = heights[b]
@@ -79,25 +75,8 @@ def _facet_scan(q: QVector):
                 if heights[c] == 1 and heights[b - c] == height - 1:
                     break
             else:
-                c = None
-            yield j0 + 1, b, height, c
-
-
-def idp_check(q: QVector) -> IdpResult:
-    """Deterministic facet scan; witness has smallest j, then smallest b."""
-    for j, b, height, c in _facet_scan(q):
-        if c is None:
-            return IdpResult(False, FacetWitness(j, b, height))
+                return IdpResult(False, FacetWitness(j, b, height))
     return IdpResult(True, None)
-
-
-def idp_certificates(q: QVector):
-    """All (j, b, height, c) records the facet scan accepts, for inspection."""
-    return [
-        FacetWitness(j, b, height, found_c=c)
-        for j, b, height, c in _facet_scan(q)
-        if c is not None
-    ]
 
 
 def necessary_condition(q: QVector) -> bool:

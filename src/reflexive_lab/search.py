@@ -61,10 +61,10 @@ def _rejects(filters, name, **fields) -> bool:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    n_min: int = 1
-    n_max: int = 5
-    max_entry: int = 12
-    support_r: tuple = None  # fixed support: enumerate its multiplicity solutions
+    n_min: int = None  # the (n, max-entry) box; None reads 1, 5 and 12
+    n_max: int = None
+    max_entry: int = None
+    support_r: tuple = None  # fixed support instead of the box
     filters: tuple = ()
     output: str = None  # JSONL path; None writes to stdout
     threads: int = 1
@@ -77,6 +77,11 @@ class SearchSpec:
         for f in self.filters:
             if f not in FILTER_NAMES:
                 raise ValueError(f"unknown filter {f!r}; choose from {FILTER_NAMES}")
+        if self.support_r is not None and {self.n_min, self.n_max, self.max_entry} != {None}:
+            raise ValueError("a fixed support takes no n/entry box")
+        for name, default in (("n_min", 1), ("n_max", 5), ("max_entry", 12)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)  # the class is frozen
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError("need 1 <= n_min <= n_max")
         if self.max_entry < 1:
@@ -414,13 +419,17 @@ def run_search(spec: SearchSpec) -> SearchSummary:
         filters=tuple(spec.filters),
         cross_check=spec.cross_check,
     )
-    if spec.threads > 1 and len(todo) > 1:
+    # The output does not depend on the worker count: start no more than
+    # there are candidates or CPUs this process may use.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(spec.threads, len(todo), cpus or 1)
+    if workers > 1:
         from multiprocessing import get_context  # only a pooled sweep loads it
 
-        pool = get_context("fork").Pool(spec.threads)
+        pool = get_context("fork").Pool(workers)
         # Candidates get costlier along the canonical order, so the last
         # chunks are the largest; 64 chunks per worker keep that tail short.
-        fresh = pool.imap(worker, todo, chunksize=max(1, len(todo) // (spec.threads * 64)))
+        fresh = pool.imap(worker, todo, chunksize=max(1, len(todo) // (workers * 64)))
     else:
         pool, fresh = None, map(worker, todo)
     lines = []

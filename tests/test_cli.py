@@ -427,6 +427,9 @@ class TestErrorHandling:
             ("search", "--n-max", "1", "--max-entry", "2", "--bound", "5"),
             ("verify", "theorem12", "--r-max", "1"),
             ("verify", "two-support", "--max-part", "1"),
+            ("search", "--r", "2,5", "--n-max", "1", "--max-entry", "1"),
+            ("search", "--r", "2,5", "--n-min", "9", "--n-max", "3"),
+            ("search", "--r", "2,5", "--max-entry", "12"),
         ],
     )
     def test_argument_that_selects_nothing(self, capsys, argv):

@@ -21,8 +21,8 @@ from reflexive_lab import (
     normalized_volume,
     payne_hstar_product,
     payne_qvector,
-    weight,
 )
+from reflexive_lab.ehrhart import weights
 
 
 class TestClosedForm:
@@ -51,9 +51,9 @@ class TestClosedForm:
 
     @given(reflexive_qvectors())
     def test_weight_zero_only_at_origin(self, q):
-        s = normalized_volume(q)
-        assert weight(q, 0) == 0
-        assert all(1 <= weight(q, b) <= q.n for b in range(1, s))
+        w = weights(q, range(normalized_volume(q)))
+        assert w[0] == 0
+        assert all(1 <= x <= q.n for x in w[1:])
 
     @given(reflexive_qvectors())
     def test_leading_coefficient(self, q):

@@ -19,6 +19,17 @@ from reflexive_lab import (
 SMALL_REFLEXIVE = [q for q in iter_reflexive_qvectors(4, 20) if max(q.entries) <= 6]
 
 
+def hstar_product(p, q):
+    """Coefficients of the polynomial product h*(p) h*(q)."""
+    hp = hstar_closed_form(p).coefficients
+    hq = hstar_closed_form(q).coefficients
+    product = [0] * (len(hp) + len(hq) - 1)
+    for i, a in enumerate(hp):
+        for j, b in enumerate(hq):
+            product[i + j] += a * b
+    return product
+
+
 class TestCompose:
     def test_self_composition(self):
         p = make_qvector([1, 1, 1, 1, 1, 3])
@@ -49,13 +60,7 @@ class TestCompose:
     @given(st.sampled_from(SMALL_REFLEXIVE), st.sampled_from(SMALL_REFLEXIVE))
     def test_hstar_multiplies(self, p, q):
         split = compose(p, q)
-        hp = hstar_closed_form(p).coefficients
-        hq = hstar_closed_form(q).coefficients
-        product = [0] * (len(hp) + len(hq) - 1)
-        for i, a in enumerate(hp):
-            for j, b in enumerate(hq):
-                product[i + j] += a * b
-        assert list(hstar_closed_form(split.y).coefficients) == product
+        assert list(hstar_closed_form(split.y).coefficients) == hstar_product(p, q)
 
 
 class TestDecompose:
@@ -120,6 +125,19 @@ class TestDecompose:
         y = compose(p, q).y
         if idp_check(y).is_idp:
             assert idp_check(p).is_idp
+
+
+class TestTransfersOnCensus:
+    def test_idp_both_ways_and_hstar_product(self):
+        # The two transfers proved in the freesum docstring, on every split
+        # of every reflexive y with n <= 7 and sum <= 100.
+        ys = list(iter_reflexive_qvectors(7, 100))
+        splits = [split for y in ys for split in decompose(y)]
+        assert (len(ys), len(splits)) == (2705, 1585)
+        for split in splits:
+            p, q, y = split.p, split.q, split.y
+            assert idp_check(y).is_idp == (idp_check(p).is_idp and idp_check(q).is_idp), y
+            assert list(hstar_closed_form(y).coefficients) == hstar_product(p, q), y
 
 
 def _divisor_chain_split(q):

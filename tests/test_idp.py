@@ -8,7 +8,6 @@ from reflexive_lab import (
     OracleTooLarge,
     enumerate_dilate_points,
     hstar_closed_form,
-    idp_certificates,
     idp_check,
     idp_oracle_bruteforce,
     is_unimodal,
@@ -16,8 +15,8 @@ from reflexive_lab import (
     make_qvector,
     necessary_condition,
     normalized_volume,
-    weight,
 )
+from reflexive_lab.ehrhart import weights
 from reflexive_lab.idp import FacetWitness, IdpResult, _key_weights
 
 
@@ -112,7 +111,7 @@ class TestIdpCheck:
             if qj < 2 or qj in seen:
                 continue
             seen.add(qj)
-            heights = [weight(q, b * s // qj) for b in range(qj)]
+            heights = weights(q, range(0, s, s // qj))
             if any(heights[b] >= 2 for b in range(2, qj)):
                 assert heights[1] == 1
 
@@ -127,10 +126,6 @@ class TestIdpCheck:
                 else IdpResult(True)
             )
             assert idp_check(q) == expected, q
-            assert idp_certificates(q) == [
-                FacetWitness(j, b, h, found_c=c) for j, b, h, c in records
-                if c is not None
-            ], q
 
 
 class TestNecessaryCondition:
@@ -205,18 +200,72 @@ class TestBruteForceOracle:
         assert oracle_triple(res) == (False, 2, (0, -2, -4, -15, -22))
 
 
-class TestCertificates:
-    def test_idp_vector_has_consistent_certificates(self):
-        q = make_qvector([1, 1, 3, 3, 3])
-        assert idp_check(q).is_idp
-        for cert in idp_certificates(q):
-            assert cert.height >= 2
-            assert cert.found_c is not None
-            assert 0 < cert.found_c < cert.b
+def box_group_idp(lam, v):
+    """Whether Delta_(1, lam) is IDP over its box group Z/v, by coordinatewise
+    dominance: box point b has coordinates b / v and (lam_i b mod v) / v, its
+    height is their sum, and b at height >= 2 needs a c at height 1 whose
+    coordinates are all at most b's (c < b covers the first one)."""
+    coords = [[(x * b) % v for x in lam] for b in range(v)]
+    heights = [(b + sum(row)) // v for b, row in enumerate(coords)]
+    return all(
+        any(
+            heights[c] == 1 and all(x <= y for x, y in zip(coords[c], coords[b]))
+            for c in range(1, b)
+        )
+        for b in range(1, v)
+        if heights[b] >= 2
+    )
 
-    def test_requires_reflexive(self):
-        with pytest.raises(NotReflexive):
-            idp_certificates(make_qvector([1, 1, 2, 4, 4]))
+
+def residue_idp(q, drop_one=False):
+    """IDP of q from its residue partitions lam_v, v a distinct part >= 2.
+    With drop_one, each lam_v loses its first residue: a deliberately wrong
+    variant that the census must tell apart."""
+    for v in set(q.entries) - {1}:
+        lam = [qi % v for qi in q.entries if qi % v]
+        if not box_group_idp(lam[1:] if drop_one else lam, v):
+            return False
+    return True
+
+
+class TestResiduePartitions:
+    """IDP by residue partitions, a route that shares no code with idp_check.
+
+    Lemma.  Let q satisfy the necessary condition, let v >= 2 be one of its
+    parts, and let lam_v be the nonzero residues q_i mod v.  Then q is IDP
+    exactly when Delta_(1, lam_v) is IDP over its box group Z/v for every
+    such v.  (Delta_(1, lam_v) need not be reflexive.)
+
+    Proof.  Write q_i = v floor(q_i / v) + rho_i.  The necessary condition
+    at v reads 1 + sum(rho) = v, so sum(lam_v) = v - 1 and, with
+    s = 1 + sum(q) = v (1 + sum_i floor(q_i / v)), facet v's height is
+
+        b s / v - sum_i floor(q_i b / v) = b - sum_i floor(rho_i b / v)
+                                         = (b + sum_i (lam_i b mod v)) / v,
+
+    the sum of the coordinates b / v and (lam_i b mod v) / v of box point b
+    of Delta_(1, lam_v).  For c < b the first coordinates add exactly and
+    (lam_i b mod v) <= (lam_i c mod v) + (lam_i (b - c) mod v), with equality
+    iff (lam_i c mod v) <= (lam_i b mod v).  So "height(c) == 1 and
+    height(b - c) == height(b) - 1", idp_check's split on facet v, says that
+    c is a height-1 box point below b, which is the box-group IDP criterion
+    of Delta_(1, lam_v).  idp_check scans exactly the distinct parts >= 2,
+    one facet each, so its verdict is the conjunction of these criteria.
+    """
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        grid = [q for q in iter_reflexive_qvectors(7, 120) if necessary_condition(q)]
+        assert len(grid) == 638
+        return grid
+
+    def test_agrees_with_facet_scan(self, grid):
+        for q in grid:
+            assert residue_idp(q) == idp_check(q).is_idp, q
+
+    def test_dropping_a_residue_disagrees(self, grid):
+        wrong = [q for q in grid if residue_idp(q, drop_one=True) != idp_check(q).is_idp]
+        assert len(wrong) == 45
 
 
 class TestEndToEndFlagshipStory:

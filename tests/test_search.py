@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -286,6 +288,64 @@ class TestRunSearch:
                 assert r["hstar"][0] == 1
             if r["witness"] is not None:
                 assert r["idp"] is False
+
+
+class TestWorkerCount:
+    """run_search starts min(threads, candidates, usable CPUs) workers.  The
+    pool is a fake that records its size and maps in this process, so no
+    test here starts a worker."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class FakePool:
+            def __init__(self, size):
+                self.size = size
+                made.append(self)
+
+            def imap(self, fn, items, chunksize):
+                self.chunksize = chunksize
+                return map(fn, items)
+
+            def close(self):
+                pass
+
+            def join(self):
+                pass
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+        return made
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    @pytest.mark.parametrize(
+        "threads, cpus, box, size, chunksize",
+        [
+            (100000, 4, (2, 3), 4, 1),  # 9 candidates, capped by the CPUs
+            (100000, 64, (1, 3), 3, 1),  # capped by the 3 candidates
+            (2, 2, (3, 12), 2, 454 // 128),  # 454 candidates, as the 2-worker sweep
+        ],
+    )
+    def test_pool_size(self, pools, monkeypatch, tmp_path, threads, cpus, box, size, chunksize):
+        self.cpus(monkeypatch, cpus)
+        n_max, max_entry = box
+        one, many = tmp_path / "one.jsonl", tmp_path / "many.jsonl"
+        run_search(SearchSpec(n_max=n_max, max_entry=max_entry, output=str(one)))
+        assert pools == []
+        run_search(SearchSpec(n_max=n_max, max_entry=max_entry, output=str(many), threads=threads))
+        assert [(p.size, p.chunksize) for p in pools] == [(size, chunksize)]
+        assert many.read_bytes() == one.read_bytes()
+
+    def test_one_cpu_starts_no_pool(self, pools, monkeypatch, tmp_path):
+        self.cpus(monkeypatch, 1)
+        run_search(SearchSpec(n_max=2, max_entry=3, output=str(tmp_path / "out.jsonl"), threads=8))
+        assert pools == []
 
 
 class TestTwoSupportRule:
