@@ -11,25 +11,24 @@ the cone generators (1, -q), (1, e_1), ..., (1, e_n), multiplied by s, are
 * The half-open fundamental parallelepiped is 0 <= s * lam_j <= s - 1 for
   every j, at heights h = 0..n.
 
-The dilate is scanned level by level (`_dilate_scan`): a numpy frontier of
-prefixes (x_1, ..., x_k) grows one coordinate at a time, each bounded by the
-exact projection of t * Delta onto the prefix, so the work scales with the
-points listed rather than with a bounding box.  The frontier is int64 while
-t * s * s, which bounds every intermediate, fits; past that it holds Python
-ints, so no bound wraps.  The parallelepiped keeps a box scan: once the
-prefix (h, x_1, ..., x_(n-1)) is fixed, every inequality bounds the last
-coordinate alone, so `_interval` solves the system for x_n as an exact
-integer interval and `_scan` walks a bounding box of prefixes, listing each
-interval.  Small boxes run in plain Python; larger ones run in
-numpy chunks of at most `_CHUNK_ROWS` prefixes (or one whole last range,
-if that is longer), whose leading prefix values stay Python ints and whose
-trailing values are meshgrid columns.  The
+The dilate is scanned level by level (`_dilate_scan`): a frontier of
+prefixes (x_1, ..., x_k) in plain Python ints grows one coordinate at a time,
+each bounded by the exact projection of t * Delta onto the prefix, so the
+work scales with the points listed rather than with a bounding box.  The
+parallelepiped keeps a box scan: once the prefix (h, x_1, ..., x_(n-1)) is
+fixed, every inequality bounds the last coordinate alone, so `_interval`
+solves the system for x_n as an exact integer interval and `_scan` walks a
+bounding box of prefixes, listing each interval.  Small boxes run in plain
+Python; larger ones run in numpy chunks of at most `_CHUNK_ROWS` prefixes
+(or one whole last range, if that is longer), whose leading prefix values
+stay Python ints and whose trailing values are meshgrid columns.  The
 parallelepiped oracle first checks the system against an independently
 computed integer adjugate of the cone matrix.  Nothing here assumes
 reflexivity.
 
-numpy is imported inside the scans, so importing the package, and any
-command that runs no numpy scan, does not load it.
+numpy is imported only by the chunked box scan, so importing the package,
+and any command that scans no parallelepiped box above `_PYTHON_BOX_LIMIT`
+prefixes, does not load it.
 """
 
 from itertools import product
@@ -44,8 +43,6 @@ from .linalg import integer_adjugate
 _CHUNK_ROWS = 1 << 14
 # Below this many prefix combinations the plain python path is faster.
 _PYTHON_BOX_LIMIT = 2048
-# The dilate frontier is int64 while t * s * s stays below this (2x headroom).
-_INT64_LIMIT = 2**62
 
 
 def _prefix_chunks(ranges):
@@ -128,13 +125,13 @@ def _scan(q, prefix_ranges):
 
 
 def _dilate_scan(q, t, count_only):
-    """Count, or list in lex order as an int64 array, the points of t * Delta.
+    """Count, or list in lex order as tuples, the points of t * Delta.
 
-    The frontier holds every prefix (x_1, ..., x_(k-1)) that survives the
-    projection bounds, with rest = t - sum(x) and
-    a_lo = max(0, max_i ceil(-s * x_i / q_i)), the least a the prefix allows.
-    With T_k = sum_{i > k} q_i, the integer points of the projection of
-    t * Delta onto (x_1, ..., x_k) have
+    Each level of the frontier holds, in lex order, every prefix
+    (x_1, ..., x_(k-1)) that survives the projection bounds, with
+    rest = t - sum(x) and a_lo = max(0, max_i ceil(-s * x_i / q_i)), the
+    least a the prefix allows.  With T_k = sum_{i > k} q_i, the integer
+    points of the projection of t * Delta onto (x_1, ..., x_k) have
 
         ceil(-rest * q_k / (s - T_(k-1))) <= x_k <= rest - ceil(a_lo * (s - T_k) / s),
 
@@ -144,34 +141,30 @@ def _dilate_scan(q, t, count_only):
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
-    import numpy as np
-
     s = 1 + sum(q)
-    # Every value below is at most t * s * s in magnitude, since the points
-    # of t * Delta have -t * q_i <= x_i <= t; past int64, use Python ints.
-    dtype = np.int64 if t * s * s < _INT64_LIMIT else object
-    prefixes = np.zeros((1, 0), dtype=dtype)
-    rest = np.full(1, t, dtype=dtype)
-    a_lo = np.zeros(1, dtype=dtype)
+    *head, qn = q
+    level = [((), t, 0)]
     tail = s - 1  # T_(k-1)
-    for k, qk in enumerate(q, start=1):
-        lo = -((rest * qk) // (s - tail))
+    for qk in head:
+        d = s - tail
         tail -= qk
-        hi = rest + (-a_lo * (s - tail)) // s
-        reps = np.maximum(hi - lo + 1, 0)
-        if count_only and k == len(q):
-            # Each interval holds at most t * s + 1 points; sum exactly when
-            # the int64 total could wrap.
-            exact = reps.size * (t * s + 1) >= 2**63
-            return int(reps.sum(dtype=object if exact else None))
-        # Expand each prefix into its x_k interval, preserving lex order.
-        reps = reps.astype(np.int64, copy=False)
-        ends = np.cumsum(reps)
-        x = np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(lo - ends + reps, reps)
-        prefixes = np.column_stack((np.repeat(prefixes, reps, axis=0), x))
-        rest = np.repeat(rest, reps) - x
-        a_lo = np.maximum(np.repeat(a_lo, reps), -((s * x) // qk))
-    return prefixes
+        level = [
+            (prefix + (x,), rest - x, max(a_lo, -((s * x) // qk)))
+            for prefix, rest, a_lo in level
+            for x in range(-((rest * qk) // d), rest + (-a_lo * (s - tail)) // s + 1)
+        ]
+    # At k = n, T_(n-1) = q_n and T_n = 0, so x_n runs from
+    # ceil(-rest * q_n / (s - q_n)) to rest - a_lo.
+    d = s - qn
+    if count_only:
+        return sum(
+            max(rest - a_lo + (rest * qn) // d + 1, 0) for _, rest, a_lo in level
+        )
+    return [
+        prefix + (x,)
+        for prefix, rest, a_lo in level
+        for x in range(-((rest * qn) // d), rest - a_lo + 1)
+    ]
 
 
 def count_dilate_points(q: QVector, t: int) -> int:
@@ -181,7 +174,7 @@ def count_dilate_points(q: QVector, t: int) -> int:
 
 def enumerate_dilate_points(q: QVector, t: int):
     """All points of t * Delta cap Z^n as tuples, lexicographically sorted."""
-    return list(map(tuple, _dilate_scan(q.entries, t, False).tolist()))
+    return _dilate_scan(q.entries, t, False)
 
 
 def _cone_matrix(q: QVector):

@@ -19,7 +19,6 @@ from .core import (
     OutputNotWritable,
     QVector,
     is_reflexive,
-    normalized_volume,
     support_of,
 )
 from .ehrhart import (

@@ -621,19 +621,22 @@ with contextlib.redirect_stdout(io.StringIO()):
     first = built
     rc += [cli.main(["check", "--q", "2,3,6"]) for _ in range(3)]
     rc.append(cli.main(["check", "--q", "2,3,6", "--oracle"]))
-out.update(oracle=loaded(), rc=rc, first=first, built=built)
+    out["oracle"] = loaded()
+    # a 6 * 7 * 10 * 10 * 10 parallelepiped box, above _PYTHON_BOX_LIMIT
+    rc.append(cli.main(["check", "--q", "5,8,8,8,10", "--oracle"]))
+out.update(box=loaded(), rc=rc, first=first, built=built)
 print(json.dumps(out))
 """
 
 
 class TestColdStart:
-    def test_only_a_lattice_scan_loads_numpy(self, python):
+    def test_only_the_numpy_box_scan_loads_numpy(self, python):
         proc = python("-c", COLD_START)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
-        assert out["import"] == out["check"] == []
-        assert out["oracle"] == ["numpy"]
-        assert out["rc"] == [0] * 5
+        assert out["import"] == out["check"] == out["oracle"] == []
+        assert out["box"] == ["numpy"]
+        assert out["rc"] == [0] * 6
         # The parser tree is built by the first call and reused after it.
         assert out["first"] > 0
         assert out["built"] == out["first"]
